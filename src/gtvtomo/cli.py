@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import fields
 
 import numpy as np
 
@@ -17,17 +18,17 @@ from gtvtomo.gtv_denoise import DenoiseConfig, denoise
 from gtvtomo.noise import NoiseSpec, add_noise
 from gtvtomo.patch_graph import PatchConfig, build_graph, extract_patches
 from gtvtomo.phantoms import PHANTOM_KINDS, generate_phantom
-from gtvtomo.pipeline import ExperimentSpec, run_experiment, run_table1, spec_from_file
-from gtvtomo.projector import Geometry, Sinogram, build_projector, forward_project
-from gtvtomo.recon import (
-    ArtConfig,
-    DivergenceError,
-    FbpConfig,
-    SirtConfig,
-    art,
-    fbp,
-    sirt,
+from gtvtomo.pipeline import (
+    METHODS,
+    ExperimentSpec,
+    _coerce,
+    parse_spec_file,
+    reconstruct,
+    run_experiment,
+    run_table1,
 )
+from gtvtomo.projector import Geometry, Sinogram, build_projector, forward_project
+from gtvtomo.recon import FBP_FILTERS, FBP_INTERPOLATIONS, ROW_ORDERS, DivergenceError
 from gtvtomo.serialize import (
     read_image_raw,
     read_sinogram_raw,
@@ -40,6 +41,41 @@ from gtvtomo.serialize import (
 )
 
 
+_SPEC_FIELDS = tuple(f.name for f in fields(ExperimentSpec))
+_CHOICES = {
+    "phantom": PHANTOM_KINDS,
+    "art_row_order": ROW_ORDERS,
+    "fbp_filter": FBP_FILTERS,
+    "fbp_interpolation": FBP_INTERPOLATIONS,
+}
+
+
+def _spec_value(name):
+    """argparse type for one ExperimentSpec field: the spec file's value syntax."""
+
+    def parse(raw):
+        try:
+            return _coerce(name, raw)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+
+    return parse
+
+
+def _add_spec_flags(p, names, flags=None, **kwargs):
+    """One ``--field-name`` flag per spec field; ``flags`` renames, ``kwargs`` adds options."""
+    for name in names:
+        flag = (flags or {}).get(name, "--" + name.replace("_", "-"))
+        extra = kwargs.get(name, {})
+        p.add_argument(flag, dest=name, type=_spec_value(name), choices=_CHOICES.get(name), **extra)
+
+
+def _spec_from_args(args, **values) -> ExperimentSpec:
+    """``values`` overridden by every spec-field flag that was given."""
+    values.update({k: getattr(args, k) for k in _SPEC_FIELDS if getattr(args, k, None) is not None})
+    return ExperimentSpec(**values)
+
+
 def _add_phantom(sub):
     p = sub.add_parser("phantom", help="generate a test image")
     p.add_argument("--kind", choices=PHANTOM_KINDS, default="shepp-logan")
@@ -47,6 +83,7 @@ def _add_phantom(sub):
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True, help="raw IMG output path")
     p.add_argument("--pgm", help="also write a PGM preview")
+    p.set_defaults(run=_cmd_phantom)
 
 
 def _add_project(sub):
@@ -57,6 +94,7 @@ def _add_project(sub):
     p.add_argument("--span", type=float, default=None, help="detector span (default n*sqrt(2))")
     p.add_argument("--out", required=True, help="raw SINO output path")
     p.add_argument("--csv", help="also write a CSV view (one column per angle)")
+    p.set_defaults(run=_cmd_project)
 
 
 def _add_noise(sub):
@@ -65,6 +103,7 @@ def _add_noise(sub):
     p.add_argument("--level", type=float, required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
+    p.set_defaults(run=_cmd_noise)
 
 
 def _add_denoise(sub):
@@ -87,65 +126,52 @@ def _add_denoise(sub):
     p.add_argument("--out", required=True)
     p.add_argument("--trace", help="write the objective trace CSV")
     p.add_argument("--edges", help="write the patch-graph edge list CSV")
+    p.set_defaults(run=_cmd_denoise)
 
 
 def _add_reconstruct(sub):
     p = sub.add_parser("reconstruct", help="reconstruct an image from a sinogram")
     p.add_argument("--sino", required=True)
-    p.add_argument("--n", type=int, required=True, help="output image side")
-    p.add_argument("--method", choices=("fbp", "art", "sirt"), default="fbp")
-    p.add_argument("--span", type=float, default=None)
-    p.add_argument("--fbp-filter", choices=("ram-lak", "shepp-logan", "cosine"), default="ram-lak")
-    p.add_argument("--fbp-interpolation", choices=("linear", "nearest"), default="linear")
-    p.add_argument("--art-lam", type=float, default=0.25)
-    p.add_argument("--art-sweeps", type=int, default=100)
-    p.add_argument("--art-row-order", choices=("sequential", "randomized"), default="sequential")
-    p.add_argument("--sirt-lam", type=float, default=1.0)
-    p.add_argument("--sirt-iterations", type=int, default=500)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--method", choices=METHODS, default="fbp")
+    _add_spec_flags(
+        p,
+        ("n", "detector_span", "fbp_filter", "fbp_interpolation", "art_lam", "art_sweeps",
+         "art_row_order", "sirt_lam", "sirt_iterations", "seed"),
+        flags={"detector_span": "--span"},
+        n={"required": True, "help": "output image side"},
+        seed={"default": 0},
+    )
     p.add_argument("--truth", help="reference IMG for per-iteration error tracking")
     p.add_argument("--curve", help="write the error curve CSV (needs --truth)")
     p.add_argument("--out", required=True)
     p.add_argument("--pgm", help="also write a PGM preview")
+    p.set_defaults(run=_cmd_reconstruct)
 
 
 def _add_experiment(sub):
     p = sub.add_parser("experiment", help="full raw-vs-denoised pipeline run")
     p.add_argument("--spec", help="flat 'key = value' spec file")
-    p.add_argument("--out-dir", dest="output_dir")
-    p.add_argument("--phantom", choices=PHANTOM_KINDS)
-    p.add_argument("--n", type=int)
-    p.add_argument("--rays", type=int)
-    p.add_argument("--num-angles", type=int)
-    p.add_argument("--detector-span", type=float)
-    p.add_argument("--noise-level", type=float)
-    p.add_argument("--patch-side", type=int)
-    p.add_argument("--neighbors", type=int)
-    p.add_argument("--gammas", help="comma-separated weights (default: built-in sweep grid)")
-    p.add_argument("--methods", help="comma-separated subset of fbp,art,sirt")
-    p.add_argument("--art-lam", type=float)
-    p.add_argument("--art-sweeps", type=int)
-    p.add_argument("--art-row-order", choices=("sequential", "randomized"))
-    p.add_argument("--sirt-lam", type=float)
-    p.add_argument("--sirt-iterations", type=int)
-    p.add_argument("--fbp-filter", choices=("ram-lak", "shepp-logan", "cosine"))
-    p.add_argument("--fbp-interpolation", choices=("linear", "nearest"))
-    p.add_argument("--denoise-epsilon", type=float)
-    p.add_argument("--denoise-max-iters", type=int)
-    p.add_argument("--seed", type=int)
+    _add_spec_flags(
+        p,
+        _SPEC_FIELDS,
+        flags={"output_dir": "--out-dir"},
+        gammas={"help": "comma-separated weights (default: built-in sweep grid)"},
+        methods={"help": "comma-separated subset of fbp,art,sirt"},
+    )
+    p.set_defaults(run=_cmd_experiment)
 
 
 def _add_table1(sub):
     p = sub.add_parser("table1", help="built-in four-row raw-vs-denoised benchmark")
     p.add_argument("--out-dir", required=True)
     p.add_argument("--seeds", default="1,2,3,4,5", help="comma-separated seed list")
-    p.add_argument("--n", type=int, default=64)
-    p.add_argument("--rays", type=int, default=95)
-    p.add_argument("--num-angles", type=int, default=36)
-    p.add_argument("--gammas", help="comma-separated sweep grid override")
-    p.add_argument("--art-sweeps", type=int, default=100)
-    p.add_argument("--sirt-iterations", type=int, default=500)
+    _add_spec_flags(
+        p,
+        ("n", "rays", "num_angles", "gammas", "art_sweeps", "sirt_iterations"),
+        gammas={"help": "comma-separated sweep grid override"},
+    )
     p.add_argument("--noise-override", type=float, default=None)
+    p.set_defaults(run=_cmd_table1)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -202,67 +228,24 @@ def _cmd_denoise(args) -> int:
 
 def _cmd_reconstruct(args) -> int:
     sino = read_sinogram_raw(args.sino)
-    geometry = Geometry(args.n, sino.p, sino.q, args.span)
+    spec = _spec_from_args(args, rays=sino.p, num_angles=sino.q)
     truth = read_image_raw(args.truth) if args.truth else None
     tracker = (lambda xv: float(np.linalg.norm(xv - truth.pixels))) if truth else None
-    if args.method == "fbp":
-        img = fbp(sino, geometry, FbpConfig(args.fbp_filter, args.fbp_interpolation))
-        curve_values = None
-    else:
-        A = build_projector(geometry)
-        if args.method == "art":
-            cfg = ArtConfig(args.art_lam, args.art_sweeps, args.art_row_order, args.seed)
-            img, curve = art(A, sino.values, cfg, tracker=tracker)
-        else:
-            cfg = SirtConfig(args.sirt_lam, args.sirt_iterations)
-            img, curve = sirt(A, sino.values, cfg, tracker=tracker)
-        curve_values = curve.values
+    img, curve = reconstruct(args.method, sino, spec, tracker=tracker)
     write_image_raw(img, args.out)
     if args.pgm:
         write_image_pgm(img, args.pgm)
     if args.curve:
-        if curve_values is None or curve_values.size == 0:
+        if curve is None or curve.values.size == 0:
             raise ValueError("--curve needs --truth and an iterative method")
-        write_curve_csv(curve_values, args.curve)
+        write_curve_csv(curve.values, args.curve)
     if truth is not None:
         print(f"l2 error: {float(np.linalg.norm(img.pixels - truth.pixels)):.6f}")
     return 0
 
 
 def _cmd_experiment(args) -> int:
-    overrides = {
-        k: getattr(args, k)
-        for k in (
-            "phantom",
-            "n",
-            "rays",
-            "num_angles",
-            "detector_span",
-            "noise_level",
-            "patch_side",
-            "neighbors",
-            "art_lam",
-            "art_sweeps",
-            "art_row_order",
-            "sirt_lam",
-            "sirt_iterations",
-            "fbp_filter",
-            "fbp_interpolation",
-            "denoise_epsilon",
-            "denoise_max_iters",
-            "seed",
-            "output_dir",
-        )
-        if getattr(args, k, None) is not None
-    }
-    if args.gammas:
-        overrides["gammas"] = tuple(float(v) for v in args.gammas.split(","))
-    if args.methods:
-        overrides["methods"] = tuple(m.strip() for m in args.methods.split(","))
-    if args.spec:
-        spec = spec_from_file(args.spec, overrides)
-    else:
-        spec = ExperimentSpec(**overrides)
+    spec = _spec_from_args(args, **(parse_spec_file(args.spec) if args.spec else {}))
     summary = run_experiment(spec)
     print(f"best gamma: {summary['best_gamma']!r}")
     for method, branches in summary["methods"].items():
@@ -276,35 +259,16 @@ def _cmd_experiment(args) -> int:
 
 def _cmd_table1(args) -> int:
     seeds = [int(s) for s in args.seeds.split(",") if s.strip()]
-    base = ExperimentSpec(
-        n=args.n,
-        rays=args.rays,
-        num_angles=args.num_angles,
-        gammas=tuple(float(v) for v in args.gammas.split(",")) if args.gammas else None,
-        art_sweeps=args.art_sweeps,
-        sirt_iterations=args.sirt_iterations,
-    )
-    record = run_table1(args.out_dir, seeds, base, noise_override=args.noise_override)
+    record = run_table1(args.out_dir, seeds, _spec_from_args(args), noise_override=args.noise_override)
     with open(record["txt"]) as fh:
         print(fh.read())
     return 0
 
 
-_COMMANDS = {
-    "phantom": _cmd_phantom,
-    "project": _cmd_project,
-    "noise": _cmd_noise,
-    "denoise": _cmd_denoise,
-    "reconstruct": _cmd_reconstruct,
-    "experiment": _cmd_experiment,
-    "table1": _cmd_table1,
-}
-
-
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        return args.run(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

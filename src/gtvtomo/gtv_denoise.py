@@ -22,23 +22,13 @@ import numpy as np
 
 from gtvtomo.patch_graph import PatchGraph, graph_divergence, graph_gradient, spectral_norm
 
-THRESHOLD_MODES = ("symmetric", "one-sided")
-
-
 @dataclass(frozen=True)
 class DenoiseConfig:
-    """Regularization weight and stopping controls.
-
-    ``threshold_mode`` selects the dual update: "symmetric" (default) clips
-    the dual variable into ``[-bound, bound]``, the correct projection for a
-    signed l1 term; "one-sided" only caps it from above, kept for
-    experiments with the asymmetric variant.
-    """
+    """Regularization weight and stopping controls."""
 
     gamma: float
     epsilon: float = 1e-6
     max_iters: int = 500
-    threshold_mode: str = "symmetric"
 
     def __post_init__(self):
         if not np.isfinite(self.gamma) or self.gamma < 0:
@@ -47,8 +37,6 @@ class DenoiseConfig:
             raise ValueError(f"epsilon must be positive, got {self.epsilon}")
         if self.max_iters < 1:
             raise ValueError(f"max_iters must be >= 1, got {self.max_iters}")
-        if self.threshold_mode not in THRESHOLD_MODES:
-            raise ValueError(f"threshold_mode must be one of {THRESHOLD_MODES}")
 
 
 @dataclass(eq=False)
@@ -98,10 +86,7 @@ def denoise(b: np.ndarray, g: PatchGraph, cfg: DenoiseConfig) -> tuple[np.ndarra
         x = b - graph_divergence(g, u)
         grad_x = graph_gradient(g, x)
         r = u + step * grad_x
-        if cfg.threshold_mode == "symmetric":
-            u = np.clip(r, -bound, bound)
-        else:
-            u = np.minimum(r, bound)
+        u = np.clip(r, -bound, bound)
         resid = b - x
         f = float(resid @ resid) + cfg.gamma * float(np.abs(grad_x).sum())
         trace.objective.append(f)

@@ -5,7 +5,7 @@ l-by-l patch around it (replicate padding at the border).  Nodes are linked
 to their K nearest neighbors in patch space (exact search, ties broken by
 lower node index) and the directed edge set is symmetrized by union.  Edge
 weights are Gaussian in the patch distance, ``exp(-d^2 / sigma^2)``, with
-``sigma`` defaulting to the mean distance over all directed K-NN pairs.
+``sigma`` the mean distance over all directed K-NN pairs.
 
 Edge signals are plain arrays with one entry per stored undirected edge
 (i, j), i < j.  The graph gradient of a node signal z is
@@ -32,18 +32,12 @@ class PatchConfig:
 
     patch_side: int = 3
     k: int = 10
-    sigma_rule: float | str = "average"
 
     def __post_init__(self):
         if self.patch_side < 1 or self.patch_side % 2 == 0:
             raise ValueError(f"patch side must be odd and positive, got {self.patch_side}")
         if self.k < 1:
             raise ValueError(f"neighbor count must be >= 1, got {self.k}")
-        if isinstance(self.sigma_rule, str):
-            if self.sigma_rule != "average":
-                raise ValueError(f"sigma_rule must be 'average' or a number, got {self.sigma_rule!r}")
-        elif not (np.isfinite(self.sigma_rule) and self.sigma_rule > 0):
-            raise ValueError(f"fixed sigma must be positive and finite, got {self.sigma_rule}")
 
 
 @dataclass(eq=False)
@@ -82,16 +76,6 @@ class PatchGraph:
     @property
     def edge_count(self) -> int:
         return self.edge_i.size
-
-    def weight(self, i: int, j: int) -> float:
-        """Weight of the undirected edge (i, j); 0.0 if absent."""
-        a, b = (i, j) if i < j else (j, i)
-        key = a * self.node_count + b
-        keys = self.edge_i * self.node_count + self.edge_j
-        pos = np.searchsorted(keys, key)
-        if pos < keys.size and keys[pos] == key:
-            return float(self.weights[pos])
-        return 0.0
 
 
 def graph_from_edges(node_count: int, edges) -> PatchGraph:
@@ -145,15 +129,14 @@ def build_graph(patches: np.ndarray, cfg: PatchConfig) -> PatchGraph:
     patches : (N, d) array
         One feature vector per node.
     cfg : PatchConfig
-        ``cfg.k`` neighbors per node; ``cfg.sigma_rule`` either "average"
-        (mean distance over the N*k directed neighbor pairs) or a fixed
-        positive bandwidth.
+        ``cfg.k`` neighbors per node.
 
     Returns
     -------
     PatchGraph
         Union-symmetrized graph with Gaussian weights
-        ``exp(-d^2 / sigma^2)``.  When every K-NN distance is zero the
+        ``exp(-d^2 / sigma^2)``, sigma being the mean distance over the
+        N*k directed neighbor pairs.  When every K-NN distance is zero the
         bandwidth falls back to 1.0 so identical patches keep weight 1.
     """
     patches = np.asarray(patches, dtype=np.float64)
@@ -175,12 +158,9 @@ def build_graph(patches: np.ndarray, cfg: PatchConfig) -> PatchGraph:
             neighbor_idx[start + local] = sel
             neighbor_dist[start + local] = d[local, sel]
 
-    if isinstance(cfg.sigma_rule, str):
-        sigma = float(neighbor_dist.mean())
-        if sigma == 0.0:
-            sigma = 1.0
-    else:
-        sigma = float(cfg.sigma_rule)
+    sigma = float(neighbor_dist.mean())
+    if sigma == 0.0:
+        sigma = 1.0
 
     src = np.repeat(np.arange(n, dtype=np.int64), k)
     dst = neighbor_idx.ravel()

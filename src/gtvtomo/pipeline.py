@@ -15,12 +15,12 @@ formats the per-method minimum errors side by side, raw vs graph-denoised.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
 
-from gtvtomo.gtv_denoise import DenoiseConfig, denoise, gamma_sweep
+from gtvtomo.gtv_denoise import DenoiseConfig, gamma_sweep
 from gtvtomo.metrics import ErrorCurve, l2_error, min_error, profile
 from gtvtomo.noise import NoiseSpec, add_noise
 from gtvtomo.patch_graph import PatchConfig, build_graph, extract_patches
@@ -88,28 +88,31 @@ class ExperimentSpec:
         return [float(g) for g in self.gammas]
 
 
-_BOOLISH = {"true": True, "false": False, "yes": True, "no": False}
-
-
 def _coerce(name: str, raw: str):
-    """Parse one spec-file value into the declared field type."""
+    """Parse one spec value, from a file line or a CLI flag, into the declared field type.
+
+    Lists are comma-separated and ``detector_span = auto`` means the default
+    span.  A bad value raises ValueError naming the key.
+    """
     spec_fields = {f.name: f for f in fields(ExperimentSpec)}
     if name not in spec_fields:
         raise ValueError(f"unknown experiment key {name!r}")
     raw = raw.strip()
-    if name in ("gammas", "methods"):
-        items = [p.strip() for p in raw.split(",") if p.strip()]
-        return tuple(float(i) for i in items) if name == "gammas" else tuple(items)
-    if name == "detector_span":
-        return None if raw.lower() == "auto" else float(raw)
+    items = [p.strip() for p in raw.split(",") if p.strip()]
     ftype = spec_fields[name].type
-    if "int" in ftype:
-        return int(raw)
-    if "float" in ftype:
-        return float(raw)
-    if raw.lower() in _BOOLISH:
-        return _BOOLISH[raw.lower()]
-    return raw
+    if name == "methods":
+        return tuple(items)
+    if ftype == "str":
+        return raw
+    if name == "detector_span" and raw.lower() == "auto":
+        return None
+    try:
+        if name == "gammas":
+            return tuple(float(i) for i in items)
+        return int(raw) if "int" in ftype else float(raw)
+    except ValueError:
+        kind = "numbers" if name == "gammas" else "an integer" if "int" in ftype else "a number"
+        raise ValueError(f"{name}: expected {kind}, got {raw!r}") from None
 
 
 def parse_spec_file(path) -> dict:
@@ -123,7 +126,10 @@ def parse_spec_file(path) -> dict:
             if "=" not in stripped:
                 raise ValueError(f"{path}:{lineno}: expected 'key = value', got {stripped!r}")
             key, raw = stripped.split("=", 1)
-            values[key.strip()] = _coerce(key.strip(), raw)
+            try:
+                values[key.strip()] = _coerce(key.strip(), raw)
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: {exc}") from None
     return values
 
 
@@ -134,29 +140,22 @@ def spec_from_file(path, overrides: dict | None = None) -> ExperimentSpec:
     return ExperimentSpec(**values)
 
 
-@dataclass(eq=False)
-class MethodResult:
-    final_error: float
-    min_err: float
-    argmin_iteration: int
-    curve: ErrorCurve = field(repr=False)
+def reconstruct(method: str, sino: Sinogram, spec: ExperimentSpec, projector=None, tracker=None):
+    """Reconstruct with one method and the spec's settings for it.
 
-
-def _run_method(method, A, truth, sino, spec):
-    """Run one reconstruction method on one sinogram; returns (Image, MethodResult)."""
-    track = lambda xv: float(np.linalg.norm(xv - truth.pixels))  # noqa: E731
+    The image side and detector span come from the spec, the ray and angle
+    counts from the sinogram.  FBP builds no projector and returns
+    ``(Image, None)``; ART and SIRT build one unless ``projector`` is given,
+    pass ``tracker`` on and return ``(Image, ErrorCurve)``.
+    """
+    geometry = Geometry(spec.n, sino.p, sino.q, spec.detector_span)
     if method == "fbp":
-        img = fbp(sino, A.geometry, FbpConfig(spec.fbp_filter, spec.fbp_interpolation))
-        err = l2_error(img, truth)
-        curve = ErrorCurve(np.array([err]), "FBP")
-    elif method == "art":
+        return fbp(sino, geometry, FbpConfig(spec.fbp_filter, spec.fbp_interpolation)), None
+    A = projector if projector is not None else build_projector(geometry)
+    if method == "art":
         cfg = ArtConfig(spec.art_lam, spec.art_sweeps, spec.art_row_order, spec.seed)
-        img, curve = art(A, sino.values, cfg, tracker=track)
-    else:
-        cfg = SirtConfig(spec.sirt_lam, spec.sirt_iterations)
-        img, curve = sirt(A, sino.values, cfg, tracker=track)
-    arg, best = min_error(curve)
-    return img, MethodResult(float(curve.values[-1]), best, arg, curve)
+        return art(A, sino.values, cfg, tracker=tracker)
+    return sirt(A, sino.values, SirtConfig(spec.sirt_lam, spec.sirt_iterations), tracker=tracker)
 
 
 def run_experiment(spec: ExperimentSpec, projector=None) -> dict:
@@ -190,18 +189,12 @@ def run_experiment(spec: ExperimentSpec, projector=None) -> dict:
     dcfg = DenoiseConfig(
         gamma=0.0, epsilon=spec.denoise_epsilon, max_iters=spec.denoise_max_iters
     )
-    fbp_cfg = FbpConfig(spec.fbp_filter, spec.fbp_interpolation)
 
     def fbp_score(z):
-        return l2_error(fbp(Sinogram(spec.rays, spec.num_angles, z), geometry, fbp_cfg), truth)
+        return l2_error(reconstruct("fbp", Sinogram(spec.rays, spec.num_angles, z), spec)[0], truth)
 
     gammas = spec.gamma_grid()
-    if len(gammas) == 1:
-        best_gamma = gammas[0]
-        best_z, _ = denoise(noisy.values, graph, replace(dcfg, gamma=best_gamma))
-        scores = [fbp_score(best_z)]
-    else:
-        best_gamma, best_z, scores = gamma_sweep(noisy.values, graph, gammas, fbp_score, dcfg)
+    best_gamma, best_z, scores = gamma_sweep(noisy.values, graph, gammas, fbp_score, dcfg)
     denoised = Sinogram(spec.rays, spec.num_angles, best_z)
 
     clean_norm = float(np.linalg.norm(clean.values))
@@ -228,17 +221,26 @@ def run_experiment(spec: ExperimentSpec, projector=None) -> dict:
     _save(write_profile_csv, profile(truth, center).values, "profile_truth.csv")
 
     branches = {"raw": noisy, "gd": denoised}
+    track = lambda xv: float(np.linalg.norm(xv - truth.pixels))  # noqa: E731
     results: dict = {}
     for method in spec.methods:
         results[method] = {}
         for branch, sino in branches.items():
-            img, res = _run_method(method, A, truth, sino, spec)
-            results[method][branch] = res
+            img, curve = reconstruct(method, sino, spec, A, tracker=track)
+            if curve is None:  # FBP: one image, one error
+                curve = ErrorCurve(np.array([l2_error(img, truth)]), "FBP")
+            arg, best = min_error(curve)
+            results[method][branch] = {
+                "final_error": float(curve.values[-1]),
+                "min_error": best,
+                "argmin_iteration": arg,
+                "curve": curve,
+            }
             tag = f"{method}_{branch}"
             _save(write_image_raw, img, f"recon_{tag}.img")
             _save(write_image_pgm, img, f"recon_{tag}.pgm")
-            if res.curve.values.size > 1:
-                _save(write_curve_csv, res.curve.values, f"curve_{tag}.csv")
+            if curve.values.size > 1:
+                _save(write_curve_csv, curve.values, f"curve_{tag}.csv")
             _save(write_profile_csv, profile(img, center).values, f"profile_{tag}.csv")
 
     summary_rows = []
@@ -254,9 +256,9 @@ def run_experiment(spec: ExperimentSpec, projector=None) -> dict:
                     "best_gamma": best_gamma,
                     "method": method,
                     "branch": branch,
-                    "final_error": r.final_error,
-                    "min_error": r.min_err,
-                    "argmin_iteration": r.argmin_iteration,
+                    "final_error": r["final_error"],
+                    "min_error": r["min_error"],
+                    "argmin_iteration": r["argmin_iteration"],
                 }
             )
     summary_csv = outdir / "summary.csv"
@@ -286,18 +288,7 @@ def run_experiment(spec: ExperimentSpec, projector=None) -> dict:
         "gamma_scores": list(zip(gammas, scores)),
         "noisy_rel_error": rel_noisy,
         "denoised_rel_error": rel_denoised,
-        "methods": {
-            m: {
-                br: {
-                    "final_error": results[m][br].final_error,
-                    "min_error": results[m][br].min_err,
-                    "argmin_iteration": results[m][br].argmin_iteration,
-                    "curve": results[m][br].curve,
-                }
-                for br in BRANCHES
-            }
-            for m in spec.methods
-        },
+        "methods": results,
         "artifacts": artifacts,
     }
 

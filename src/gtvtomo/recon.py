@@ -53,15 +53,12 @@ class SirtConfig:
 
     lam: float = 1.0
     iterations: int = 200
-    row_weights: str = "uniform"
 
     def __post_init__(self):
         if self.lam <= 0:
             raise ValueError(f"SIRT relaxation must be positive, got {self.lam}")
         if self.iterations < 1:
             raise ValueError(f"iterations must be >= 1, got {self.iterations}")
-        if self.row_weights != "uniform":
-            raise ValueError("only uniform row weights are supported")
 
 
 @dataclass(frozen=True)
@@ -126,19 +123,11 @@ def fbp(s: Sinogram, geometry: Geometry, cfg: FbpConfig = FbpConfig()) -> Image:
     return Image(n, acc.ravel() * (np.pi / q))
 
 
-def _start_vector(A: ProjectionOperator, x0: Image | None) -> np.ndarray:
-    if x0 is None:
-        return np.zeros(A.cols)
-    if x0.pixels.size != A.cols:
-        raise ValueError(f"start image has {x0.pixels.size} pixels, operator expects {A.cols}")
-    return x0.pixels.copy()
-
-
 def art(
     A: ProjectionOperator,
     b: np.ndarray,
     cfg: ArtConfig,
-    x0: Image | None = None,
+    *,
     tracker=None,
 ) -> tuple[Image, ErrorCurve]:
     """Kaczmarz: sweep all rows, projecting onto one hyperplane at a time.
@@ -150,7 +139,7 @@ def art(
     b = np.asarray(b, dtype=np.float64)
     if b.size != A.rows:
         raise ValueError(f"data has {b.size} entries but operator has {A.rows} rows")
-    x = _start_vector(A, x0)
+    x = np.zeros(A.cols)
     M = A.matrix
     indptr, indices, data = M.indptr, M.indices, M.data
     norms_sq = A.row_norms_sq
@@ -176,7 +165,7 @@ def sirt(
     A: ProjectionOperator,
     b: np.ndarray,
     cfg: SirtConfig,
-    x0: Image | None = None,
+    *,
     tracker=None,
 ) -> tuple[Image, ErrorCurve]:
     """Cimmino: average the relaxed projections onto all row hyperplanes.
@@ -188,7 +177,7 @@ def sirt(
     b = np.asarray(b, dtype=np.float64)
     if b.size != A.rows:
         raise ValueError(f"data has {b.size} entries but operator has {A.rows} rows")
-    x = _start_vector(A, x0)
+    x = np.zeros(A.cols)
     M = A.matrix
     MT = A.transpose_matrix
     norms_sq = A.row_norms_sq

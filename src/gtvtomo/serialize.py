@@ -2,7 +2,7 @@
 
 Raw formats carry a one-line ASCII header (``IMG n`` or ``SINO p q``)
 followed by little-endian float64 payload, and round-trip exactly.  PGM is
-lossy (scaled to the integer range) and intended only for viewing.
+lossy (scaled to the 16-bit range) and intended only for viewing.
 """
 
 from __future__ import annotations
@@ -22,14 +22,28 @@ def write_image_raw(img: Image, path) -> None:
         fh.write(img.pixels.astype("<f8").tobytes())
 
 
-def read_image_raw(path) -> Image:
+def _read_raw(path, magic: str, ndims: int) -> tuple[list[int], np.ndarray]:
+    """Header ``magic d1 .. dk`` and the float64 payload it announces, checked in size."""
     with open(path, "rb") as fh:
-        header = fh.readline().decode("ascii").split()
-        if len(header) != 2 or header[0] != "IMG":
-            raise ValueError(f"not an IMG file: {path}")
-        n = int(header[1])
-        data = np.frombuffer(fh.read(), dtype="<f8")
-    return Image(n, data.copy())
+        line = fh.readline()
+        payload = fh.read()
+    header = line.decode("ascii", errors="replace").split()
+    if len(header) != ndims + 1 or header[0] != magic or not all(v.isdigit() for v in header[1:]):
+        raise ValueError(
+            f"{path}: expected a '{magic}' header with {ndims} integer size(s), got {line[:40]!r}"
+        )
+    dims = [int(v) for v in header[1:]]
+    expected = 8 * dims[0] * dims[-1]  # IMG n holds n*n values, SINO p q holds p*q
+    if len(payload) != expected:
+        raise ValueError(
+            f"{path}: header '{' '.join(header)}' needs {expected} payload bytes, found {len(payload)}"
+        )
+    return dims, np.frombuffer(payload, dtype="<f8").copy()
+
+
+def read_image_raw(path) -> Image:
+    (n,), pixels = _read_raw(path, "IMG", 1)
+    return Image(n, pixels)
 
 
 def write_sinogram_raw(s: Sinogram, path) -> None:
@@ -39,24 +53,17 @@ def write_sinogram_raw(s: Sinogram, path) -> None:
 
 
 def read_sinogram_raw(path) -> Sinogram:
-    with open(path, "rb") as fh:
-        header = fh.readline().decode("ascii").split()
-        if len(header) != 3 or header[0] != "SINO":
-            raise ValueError(f"not a SINO file: {path}")
-        p, q = int(header[1]), int(header[2])
-        data = np.frombuffer(fh.read(), dtype="<f8")
-    return Sinogram(p, q, data.copy())
+    (p, q), values = _read_raw(path, "SINO", 2)
+    return Sinogram(p, q, values)
 
 
-def write_image_pgm(img: Image, path, bits: int = 16) -> None:
-    """Scaled preview; 16-bit PGM stores big-endian samples per the format."""
-    if bits not in (8, 16):
-        raise ValueError(f"PGM depth must be 8 or 16 bits, got {bits}")
-    maxval = (1 << bits) - 1
+def write_image_pgm(img: Image, path) -> None:
+    """Scaled 16-bit preview; PGM stores the samples big-endian."""
+    maxval = 65535
     grid = img.grid
     lo, hi = grid.min(), grid.max()
     scaled = np.zeros_like(grid) if hi <= lo else (grid - lo) / (hi - lo) * maxval
-    quantized = np.rint(scaled).astype(">u2" if bits == 16 else np.uint8)
+    quantized = np.rint(scaled).astype(">u2")
     with open(path, "wb") as fh:
         fh.write(f"P5\n{img.n} {img.n}\n{maxval}\n".encode("ascii"))
         fh.write(quantized.tobytes())
@@ -69,7 +76,8 @@ def write_sinogram_csv(s: Sinogram, path) -> None:
             fh.write(",".join(repr(float(v)) for v in row) + "\n")
 
 
-def write_curve_csv(values, path, header: tuple[str, str] = ("iteration", "error")) -> None:
+def _write_indexed_csv(values, path, header: tuple[str, str]) -> None:
+    """A header row, then one ``index,value`` row per value."""
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(header)
@@ -77,24 +85,26 @@ def write_curve_csv(values, path, header: tuple[str, str] = ("iteration", "error
             w.writerow([i, repr(float(v))])
 
 
-def read_curve_csv(path) -> np.ndarray:
+def _read_indexed_csv(path) -> np.ndarray:
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))
     return np.array([float(r[1]) for r in rows[1:]])
+
+
+def write_curve_csv(values, path, header: tuple[str, str] = ("iteration", "error")) -> None:
+    _write_indexed_csv(values, path, header)
+
+
+def read_curve_csv(path) -> np.ndarray:
+    return _read_indexed_csv(path)
 
 
 def write_profile_csv(values, path) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(("column", "value"))
-        for i, v in enumerate(np.asarray(values, dtype=np.float64)):
-            w.writerow([i, repr(float(v))])
+    _write_indexed_csv(values, path, ("column", "value"))
 
 
 def read_profile_csv(path) -> np.ndarray:
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    return np.array([float(r[1]) for r in rows[1:]])
+    return _read_indexed_csv(path)
 
 
 def write_graph_edges_csv(g, path) -> None:

@@ -102,29 +102,6 @@ class TestDenoiseBasics:
             DenoiseConfig(-1.0)
         with pytest.raises(ValueError):
             DenoiseConfig(1.0, epsilon=0.0)
-        with pytest.raises(ValueError):
-            DenoiseConfig(1.0, threshold_mode="hard")
-
-
-class TestThresholdModes:
-    def test_one_sided_mode_differs_on_signed_gradients(self):
-        # with the data pushing the edge difference negative, the one-sided
-        # cap misses the lower bound and lands somewhere else entirely
-        b = np.array([3.0, 0.0])
-        sym, _ = denoise(b, two_node(), DenoiseConfig(1.0, **TIGHT))
-        one, _ = denoise(
-            b, two_node(), DenoiseConfig(1.0, threshold_mode="one-sided", **TIGHT)
-        )
-        np.testing.assert_allclose(sym, [2.5, 0.5], atol=1e-6)
-        assert np.abs(one - sym).max() > 0.1
-
-    def test_modes_agree_when_gradient_stays_positive(self):
-        b = np.array([0.0, 3.0])
-        sym, _ = denoise(b, two_node(), DenoiseConfig(1.0, **TIGHT))
-        one, _ = denoise(
-            b, two_node(), DenoiseConfig(1.0, threshold_mode="one-sided", **TIGHT)
-        )
-        np.testing.assert_allclose(one, sym, atol=1e-8)
 
 
 class TestObjective:

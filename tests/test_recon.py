@@ -7,7 +7,6 @@ from gtvtomo import (
     DivergenceError,
     FbpConfig,
     Geometry,
-    Image,
     ProjectionOperator,
     Sinogram,
     SirtConfig,
@@ -136,8 +135,13 @@ class TestArt:
         A, _, _ = well_posed_system()
         with pytest.raises(ValueError):
             art(A, np.zeros(5), ArtConfig(lam=1.0, sweeps=1))
-        with pytest.raises(ValueError):
-            art(A, np.zeros(4), ArtConfig(lam=1.0, sweeps=1), x0=Image(3, np.zeros(9)))
+
+    def test_tracker_is_keyword_only(self):
+        A, _, b = well_posed_system()
+        with pytest.raises(TypeError):
+            art(A, b, ArtConfig(lam=1.0, sweeps=1), lambda xv: 0.0)
+        with pytest.raises(TypeError):
+            sirt(A, b, SirtConfig(lam=1.0, iterations=1), lambda xv: 0.0)
 
     def test_relaxation_bounds(self):
         for lam in (0.0, 2.0, -0.5, 2.5):
@@ -185,8 +189,6 @@ class TestSirt:
             SirtConfig(lam=0.0)
         with pytest.raises(ValueError):
             SirtConfig(iterations=0)
-        with pytest.raises(ValueError):
-            SirtConfig(row_weights="rownorm")
 
 
 class TestSemiConvergenceShape:
