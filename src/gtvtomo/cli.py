@@ -76,6 +76,11 @@ def _spec_from_args(args, **values) -> ExperimentSpec:
     return ExperimentSpec(**values)
 
 
+def int_list(raw):
+    """argparse type for comma-separated integers; argparse reports a ValueError by flag."""
+    return [int(s) for s in raw.split(",") if s.strip()]
+
+
 def _add_phantom(sub):
     p = sub.add_parser("phantom", help="generate a test image")
     p.add_argument("--kind", choices=PHANTOM_KINDS, default="shepp-logan")
@@ -164,7 +169,7 @@ def _add_experiment(sub):
 def _add_table1(sub):
     p = sub.add_parser("table1", help="built-in four-row raw-vs-denoised benchmark")
     p.add_argument("--out-dir", required=True)
-    p.add_argument("--seeds", default="1,2,3,4,5", help="comma-separated seed list")
+    p.add_argument("--seeds", type=int_list, default="1,2,3,4,5", help="comma-separated seed list")
     _add_spec_flags(
         p,
         ("n", "rays", "num_angles", "gammas", "art_sweeps", "sirt_iterations"),
@@ -230,6 +235,8 @@ def _cmd_reconstruct(args) -> int:
     sino = read_sinogram_raw(args.sino)
     spec = _spec_from_args(args, rays=sino.p, num_angles=sino.q)
     truth = read_image_raw(args.truth) if args.truth else None
+    if truth is not None and truth.n != spec.n:
+        raise ValueError(f"--truth image is {truth.n}x{truth.n} but --n asks for {spec.n}x{spec.n}")
     tracker = (lambda xv: float(np.linalg.norm(xv - truth.pixels))) if truth else None
     img, curve = reconstruct(args.method, sino, spec, tracker=tracker)
     write_image_raw(img, args.out)
@@ -258,8 +265,7 @@ def _cmd_experiment(args) -> int:
 
 
 def _cmd_table1(args) -> int:
-    seeds = [int(s) for s in args.seeds.split(",") if s.strip()]
-    record = run_table1(args.out_dir, seeds, _spec_from_args(args), noise_override=args.noise_override)
+    record = run_table1(args.out_dir, args.seeds, _spec_from_args(args), noise_override=args.noise_override)
     with open(record["txt"]) as fh:
         print(fh.read())
     return 0

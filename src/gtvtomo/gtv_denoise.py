@@ -32,9 +32,9 @@ class DenoiseConfig:
 
     def __post_init__(self):
         if not np.isfinite(self.gamma) or self.gamma < 0:
-            raise ValueError(f"gamma must be >= 0, got {self.gamma}")
-        if self.epsilon <= 0:
-            raise ValueError(f"epsilon must be positive, got {self.epsilon}")
+            raise ValueError(f"gamma must be finite and >= 0, got {self.gamma}")
+        if not 0.0 < self.epsilon < np.inf:
+            raise ValueError(f"epsilon must be positive and finite, got {self.epsilon}")
         if self.max_iters < 1:
             raise ValueError(f"max_iters must be >= 1, got {self.max_iters}")
 

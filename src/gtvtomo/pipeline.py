@@ -81,11 +81,24 @@ class ExperimentSpec:
                 raise ValueError(f"unknown method {m!r}; expected one of {METHODS}")
         if self.gammas is not None and len(self.gammas) == 0:
             raise ValueError("gamma list must not be empty")
+        denoise_cfg = _solver_configs(self)["denoise"]  # building every solver config checks it
+        for gm in self.gammas or ():
+            replace(denoise_cfg, gamma=gm)  # rejects a negative or non-finite weight
 
     def gamma_grid(self) -> list[float]:
         if self.gammas is None:
             return default_gamma_grid()
         return [float(g) for g in self.gammas]
+
+
+def _solver_configs(spec: ExperimentSpec) -> dict:
+    """The FBP, ART, SIRT and denoiser settings a spec describes; building them validates them."""
+    return {
+        "fbp": FbpConfig(spec.fbp_filter, spec.fbp_interpolation),
+        "art": ArtConfig(spec.art_lam, spec.art_sweeps, spec.art_row_order, spec.seed),
+        "sirt": SirtConfig(spec.sirt_lam, spec.sirt_iterations),
+        "denoise": DenoiseConfig(0.0, spec.denoise_epsilon, spec.denoise_max_iters),
+    }
 
 
 def _coerce(name: str, raw: str):
@@ -149,13 +162,11 @@ def reconstruct(method: str, sino: Sinogram, spec: ExperimentSpec, projector=Non
     pass ``tracker`` on and return ``(Image, ErrorCurve)``.
     """
     geometry = Geometry(spec.n, sino.p, sino.q, spec.detector_span)
+    cfg = _solver_configs(spec)[method]
     if method == "fbp":
-        return fbp(sino, geometry, FbpConfig(spec.fbp_filter, spec.fbp_interpolation)), None
+        return fbp(sino, geometry, cfg), None
     A = projector if projector is not None else build_projector(geometry)
-    if method == "art":
-        cfg = ArtConfig(spec.art_lam, spec.art_sweeps, spec.art_row_order, spec.seed)
-        return art(A, sino.values, cfg, tracker=tracker)
-    return sirt(A, sino.values, SirtConfig(spec.sirt_lam, spec.sirt_iterations), tracker=tracker)
+    return (art if method == "art" else sirt)(A, sino.values, cfg, tracker=tracker)
 
 
 def run_experiment(spec: ExperimentSpec, projector=None) -> dict:
@@ -186,9 +197,7 @@ def run_experiment(spec: ExperimentSpec, projector=None) -> dict:
     pcfg = PatchConfig(spec.patch_side, spec.neighbors)
     graph = build_graph(extract_patches(noisy, pcfg), pcfg)
 
-    dcfg = DenoiseConfig(
-        gamma=0.0, epsilon=spec.denoise_epsilon, max_iters=spec.denoise_max_iters
-    )
+    dcfg = _solver_configs(spec)["denoise"]
 
     def fbp_score(z):
         return l2_error(reconstruct("fbp", Sinogram(spec.rays, spec.num_angles, z), spec)[0], truth)

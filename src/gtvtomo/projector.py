@@ -41,9 +41,9 @@ class Geometry:
         if self.detector_span is None:
             self.detector_span = float(self.n) * np.sqrt(2.0)
         self.detector_span = float(self.detector_span)
-        if self.detector_span < self.n:
+        if not self.n <= self.detector_span < np.inf:
             raise ValueError(
-                f"detector span {self.detector_span} does not cover the image side {self.n}"
+                f"detector_span {self.detector_span} must be finite and cover the image side {self.n}"
             )
 
     @property
@@ -138,85 +138,43 @@ class ProjectionOperator:
         return self._row_norms_sq
 
 
-def _ray_cells(n: int, cos_t: float, sin_t: float, t: float):
-    """Cells crossed by one ray and the intersection lengths.
-
-    Returns (rows, cols, lengths) arrays, possibly empty for a miss.
-    """
-    h = n / 2.0
-    # Entry/exit parameters of the ray within the bounding box (slab method).
-    # x(s) = t*cos - s*sin, y(s) = t*sin + s*cos.
-    lo, hi = -np.inf, np.inf
-    if abs(sin_t) > _CROSSING_TOL:
-        s_a = (t * cos_t - h) / sin_t
-        s_b = (t * cos_t + h) / sin_t
-        lo = max(lo, min(s_a, s_b))
-        hi = min(hi, max(s_a, s_b))
-    elif abs(t * cos_t) > h:
-        return _EMPTY
-    if abs(cos_t) > _CROSSING_TOL:
-        s_a = (-h - t * sin_t) / cos_t
-        s_b = (h - t * sin_t) / cos_t
-        lo = max(lo, min(s_a, s_b))
-        hi = min(hi, max(s_a, s_b))
-    elif abs(t * sin_t) > h:
-        return _EMPTY
-    if not np.isfinite(lo) or not np.isfinite(hi) or hi - lo <= _CROSSING_TOL:
-        return _EMPTY
-
-    grid_lines = np.arange(n + 1) - h
-    crossings = [np.array([lo, hi])]
-    if abs(sin_t) > _CROSSING_TOL:
-        crossings.append((t * cos_t - grid_lines) / sin_t)
-    if abs(cos_t) > _CROSSING_TOL:
-        crossings.append((grid_lines - t * sin_t) / cos_t)
-    s = np.concatenate(crossings)
-    s = np.sort(s[(s >= lo) & (s <= hi)])
-    lengths = np.diff(s)
-    keep = lengths > _CROSSING_TOL
-    if not np.any(keep):
-        return _EMPTY
-    mids = 0.5 * (s[:-1] + s[1:])[keep]
-    lengths = lengths[keep]
-    px = t * cos_t - mids * sin_t
-    py = t * sin_t + mids * cos_t
-    cols = np.floor(px + h).astype(np.int64)
-    rows = np.floor(h - py).astype(np.int64)
-    ok = (cols >= 0) & (cols < n) & (rows >= 0) & (rows < n)
-    return rows[ok], cols[ok], lengths[ok]
-
-
-_EMPTY = (np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64), np.empty(0))
-
-
 def build_projector(geometry: Geometry) -> ProjectionOperator:
-    """Trace every (ray, angle) pair and assemble the CSR matrix.
+    """Trace the rays of each angle together and assemble the CSR matrix.
 
-    Row ``r * q + k`` corresponds to ray r at angle index k; column
-    ``i * n + j`` to the pixel in image row i, column j.
+    For every ray of one angle, the parameters where it crosses the grid
+    lines are sorted; each gap between consecutive crossings is one cell's
+    segment, and its midpoint names the cell.  The outermost grid lines are
+    the image border, so segments outside the image land in out-of-range
+    cells and are dropped.  Row ``r * q + k`` corresponds to ray r at angle
+    index k; column ``i * n + j`` to the pixel in image row i, column j.
     """
     n, p, q = geometry.n, geometry.p, geometry.q
+    h = n / 2.0
+    lines = np.arange(n + 1) - h
     theta = np.deg2rad(geometry.angles)
-    offsets = geometry.offsets
-    row_idx: list[np.ndarray] = []
-    col_idx: list[np.ndarray] = []
-    vals: list[np.ndarray] = []
+    t = geometry.offsets[:, None]
+    ray_rows = np.arange(p, dtype=np.int64)[:, None] * q
+    entries = []
     for k in range(q):
+        # The ray at parameter u is the point (t*c - u*s, t*s + u*c).
         c, s = float(np.cos(theta[k])), float(np.sin(theta[k]))
-        for r in range(p):
-            rows, cols, lengths = _ray_cells(n, c, s, float(offsets[r]))
-            if lengths.size == 0:
-                continue
-            row_idx.append(np.full(lengths.size, r * q + k, dtype=np.int64))
-            col_idx.append(rows * n + cols)
-            vals.append(lengths)
-    if vals:
-        data = np.concatenate(vals)
-        coords = (np.concatenate(row_idx), np.concatenate(col_idx))
-    else:
-        data = np.empty(0)
-        coords = (np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64))
-    matrix = sp.coo_matrix((data, coords), shape=(p * q, n * n)).tocsr()
+        crossings = []
+        if abs(s) > _CROSSING_TOL:
+            crossings.append((t * c - lines) / s)
+        if abs(c) > _CROSSING_TOL:
+            crossings.append((lines - t * s) / c)
+        ends = np.sort(np.concatenate(crossings, axis=1), axis=1)
+        lengths = np.diff(ends, axis=1)
+        mid = 0.5 * (ends[:, :-1] + ends[:, 1:])
+        # The grouping of these sums is part of the matrix bytes; keep it.
+        cols = np.floor((t * c - mid * s) + h).astype(np.int64)
+        rows = np.floor(h - (t * s + mid * c)).astype(np.int64)
+        keep = (lengths > _CROSSING_TOL) & (cols >= 0) & (cols < n) & (rows >= 0) & (rows < n)
+        entries.append(
+            (np.broadcast_to(ray_rows + k, keep.shape)[keep], (rows * n + cols)[keep], lengths[keep])
+        )
+    row_idx, col_idx, data = (np.concatenate(parts) for parts in zip(*entries))
+    matrix = sp.coo_matrix((data, (row_idx, col_idx)), shape=(p * q, n * n)).tocsr()
     return ProjectionOperator(matrix, geometry)
 
 

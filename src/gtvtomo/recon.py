@@ -55,8 +55,8 @@ class SirtConfig:
     iterations: int = 200
 
     def __post_init__(self):
-        if self.lam <= 0:
-            raise ValueError(f"SIRT relaxation must be positive, got {self.lam}")
+        if not 0.0 < self.lam < np.inf:
+            raise ValueError(f"SIRT relaxation lam must be positive and finite, got {self.lam}")
         if self.iterations < 1:
             raise ValueError(f"iterations must be >= 1, got {self.iterations}")
 

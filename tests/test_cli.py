@@ -171,3 +171,46 @@ class TestMalformedRawFiles:
         assert main(args) == 2
         err = capsys.readouterr().err
         assert f"{path}: header 'SINO 3 3' needs 72 payload bytes, found {payload_bytes}" in err
+
+
+class TestEarlyErrors:
+    """Bad values exit with 2 and a message naming them, before any work is done."""
+
+    @pytest.fixture
+    def image(self, tmp_path):
+        path = tmp_path / "ph.img"
+        assert main(["phantom", "--kind", "smooth", "--n", "16", "--out", str(path)]) == 0
+        return path
+
+    @pytest.mark.parametrize("span", ["nan", "inf"])
+    def test_non_finite_span(self, tmp_path, capsys, image, span):
+        out = tmp_path / "s.sino"
+        assert main(["project", "--image", str(image), "--span", span, "--out", str(out)]) == 2
+        assert "detector_span" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("line", ["art_row_order = bogus", "sirt_lam = -1"])
+    def test_bad_spec_creates_no_output_dir(self, tmp_path, line):
+        out = tmp_path / "never"
+        path = tmp_path / "exp.spec"
+        path.write_text(f"n = 16\nrays = 23\nnum_angles = 10\noutput_dir = {out}\n{line}\n")
+        assert main(["experiment", "--spec", str(path)]) == 2
+        assert not out.exists()
+
+    def test_truth_of_the_wrong_size(self, tmp_path, capsys, image):
+        sino = tmp_path / "s.sino"
+        out = tmp_path / "r.img"
+        assert main(["project", "--image", str(image), "--rays", "23", "--num-angles", "10",
+                     "--out", str(sino)]) == 0
+        args = ["reconstruct", "--sino", str(sino), "--n", "32", "--method", "sirt",
+                "--truth", str(image), "--out", str(out)]
+        assert main(args) == 2
+        assert "--truth image is 16x16 but --n asks for 32x32" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_seeds_must_be_integers(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["table1", "--out-dir", str(tmp_path / "t"), "--seeds", "1,x"])
+        assert exc.value.code == 2
+        assert "argument --seeds: invalid int_list value: '1,x'" in capsys.readouterr().err
+        assert not (tmp_path / "t").exists()

@@ -102,6 +102,11 @@ class TestDenoiseBasics:
             DenoiseConfig(-1.0)
         with pytest.raises(ValueError):
             DenoiseConfig(1.0, epsilon=0.0)
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="gamma"):
+                DenoiseConfig(bad)
+            with pytest.raises(ValueError, match="epsilon"):
+                DenoiseConfig(1.0, epsilon=bad)
 
 
 class TestObjective:

@@ -49,6 +49,24 @@ class TestExperimentSpec:
             ExperimentSpec(methods=("fbp", "mlem"))
         with pytest.raises(ValueError):
             ExperimentSpec(gammas=())
+        # Every solver setting is checked when the spec is built, not when it is used.
+        for field, bad, message in [
+            ("art_row_order", "bogus", "row_order"),
+            ("art_lam", 2.0, "ART relaxation"),
+            ("art_sweeps", 0, "sweeps"),
+            ("sirt_lam", -1.0, "lam"),
+            ("sirt_lam", float("nan"), "lam"),
+            ("sirt_iterations", 0, "iterations"),
+            ("fbp_filter", "hann", "filter"),
+            ("fbp_interpolation", "cubic", "interpolation"),
+            ("denoise_epsilon", float("nan"), "epsilon"),
+            ("denoise_max_iters", 0, "max_iters"),
+            ("gammas", (0.1, -1.0), "gamma"),
+            ("gammas", (float("inf"),), "gamma"),
+            ("gammas", (0.0, float("nan")), "gamma"),
+        ]:
+            with pytest.raises(ValueError, match=message):
+                ExperimentSpec(**{field: bad})
 
 
 class TestSpecFile:

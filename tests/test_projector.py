@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from gtvtomo import (
     Geometry,
@@ -47,6 +49,9 @@ class TestGeometry:
             Geometry(8, 5, 0)
         with pytest.raises(ValueError):
             Geometry(8, 5, 4, detector_span=4.0)  # smaller than the image
+        for span in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="detector_span"):
+                Geometry(8, 5, 4, detector_span=span)
 
 
 class TestRayTracing:
@@ -83,6 +88,56 @@ class TestRayTracing:
         A = build_projector(Geometry(8, 15, 4, detector_span=16.0))
         assert np.any(A.row_norms_sq == 0.0)
         assert A.rows == 15 * 4  # zero rows are kept
+
+
+def square_chord(t: np.ndarray, theta: float, h: float) -> np.ndarray:
+    """Length of the line {t*(cos, sin) + u*(-sin, cos)} inside the square [-h, h]^2.
+
+    The Radon transform of a square's indicator is a trapezoid in t: flat at
+    2h / max(|cos|, |sin|) out to h*||cos| - |sin||, then falling linearly
+    to 0 at h*(|cos| + |sin|).
+    """
+    c, s = abs(np.cos(theta)), abs(np.sin(theta))
+    flat = 2.0 * h / max(c, s)
+    if c * s == 0.0:
+        return np.where(np.abs(t) < h, flat, 0.0)
+    return np.clip((h * (c + s) - np.abs(t)) / (c * s), 0.0, flat)
+
+
+@st.composite
+def geometries(draw):
+    n = draw(st.integers(1, 20))
+    span = draw(st.one_of(st.none(), st.just(float(n)), st.floats(n, 3.0 * n)))
+    return Geometry(n, draw(st.integers(1, 40)), draw(st.integers(1, 24)), span)
+
+
+class TestSiddonProperties:
+    """Invariants of the traced matrix at random geometries, θ = 0° and 90° included."""
+
+    @settings(max_examples=60, deadline=None, database=None)
+    @given(geometries())
+    @example(Geometry(7, 1, 4))  # single ray, 0° and 90°
+    @example(Geometry(8, 9, 6, detector_span=8.0))  # span = n: rays along the border
+    @example(Geometry(5, 12, 2, detector_span=5.0))
+    def test_row_sums_entries_and_adjoint(self, g):
+        A = build_projector(g)
+        h = g.n / 2.0
+        sums = np.asarray(A.matrix.sum(axis=1)).ravel().reshape(g.p, g.q)
+        for k, theta in enumerate(np.deg2rad(g.angles)):
+            chord = square_chord(g.offsets, theta, h)
+            # A ray running exactly along the image border may count as 0 or n.
+            on_border = np.isclose(np.abs(g.offsets), h, rtol=0.0, atol=1e-9) & (
+                min(abs(np.cos(theta)), abs(np.sin(theta))) < 1e-12
+            )
+            np.testing.assert_allclose(sums[~on_border, k], chord[~on_border], rtol=0.0, atol=1e-9)
+            for total in sums[on_border, k]:
+                assert min(abs(total), abs(total - g.n)) <= 1e-9
+        assert np.all(A.matrix.data > 0.0)
+        assert np.all(A.matrix.data <= np.sqrt(2.0) + 1e-12)
+        rng = np.random.default_rng(g.n * 10_000 + g.p * 100 + g.q)
+        x = rng.standard_normal(A.cols)
+        y = rng.standard_normal(A.rows)
+        assert adjoint_gap(A.matrix @ x, y, x, A.transpose_matrix @ y) <= 1e-10
 
 
 class TestForwardProject:

@@ -189,6 +189,9 @@ class TestSirt:
             SirtConfig(lam=0.0)
         with pytest.raises(ValueError):
             SirtConfig(iterations=0)
+        for lam in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="lam"):
+                SirtConfig(lam=lam)
 
 
 class TestSemiConvergenceShape:
