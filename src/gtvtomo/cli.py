@@ -28,7 +28,7 @@ from gtvtomo.pipeline import (
     run_table1,
 )
 from gtvtomo.projector import Geometry, Sinogram, build_projector, forward_project
-from gtvtomo.recon import FBP_FILTERS, FBP_INTERPOLATIONS, ROW_ORDERS, DivergenceError
+from gtvtomo.recon import FBP_FILTERS, FBP_INTERPOLATIONS, DivergenceError
 from gtvtomo.serialize import (
     read_image_raw,
     read_sinogram_raw,
@@ -44,7 +44,6 @@ from gtvtomo.serialize import (
 _SPEC_FIELDS = tuple(f.name for f in fields(ExperimentSpec))
 _CHOICES = {
     "phantom": PHANTOM_KINDS,
-    "art_row_order": ROW_ORDERS,
     "fbp_filter": FBP_FILTERS,
     "fbp_interpolation": FBP_INTERPOLATIONS,
 }
@@ -141,10 +140,9 @@ def _add_reconstruct(sub):
     _add_spec_flags(
         p,
         ("n", "detector_span", "fbp_filter", "fbp_interpolation", "art_lam", "art_sweeps",
-         "art_row_order", "sirt_lam", "sirt_iterations", "seed"),
+         "sirt_lam", "sirt_iterations"),
         flags={"detector_span": "--span"},
         n={"required": True, "help": "output image side"},
-        seed={"default": 0},
     )
     p.add_argument("--truth", help="reference IMG for per-iteration error tracking")
     p.add_argument("--curve", help="write the error curve CSV (needs --truth)")

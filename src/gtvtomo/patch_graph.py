@@ -21,7 +21,8 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.spatial.distance import cdist
 
-_KNN_CHUNK = 256
+# Bytes of the distance block that build_graph fills per chunk of nodes.
+_KNN_BLOCK_BYTES = 1 << 20
 _POWER_TOL = 1e-8
 _POWER_MAX_ITERS = 10_000
 
@@ -149,9 +150,13 @@ def build_graph(patches: np.ndarray, cfg: PatchConfig) -> PatchGraph:
 
     neighbor_idx = np.empty((n, k), dtype=np.int64)
     neighbor_dist = np.empty((n, k))
-    for start in range(0, n, _KNN_CHUNK):
-        stop = min(start + _KNN_CHUNK, n)
-        d = cdist(patches[start:stop], patches)
+    # One small block is reused for every chunk; a large block allocated per
+    # chunk leaves the process's peak memory to heap fragmentation.
+    chunk = max(1, min(n, _KNN_BLOCK_BYTES // (8 * n)))
+    block = np.empty((chunk, n))
+    for start in range(0, n, chunk):
+        stop = min(start + chunk, n)
+        d = cdist(patches[start:stop], patches, out=block[: stop - start])
         d[np.arange(stop - start), np.arange(start, stop)] = np.inf
         for local in range(stop - start):
             sel = _knn_select(d[local], k)

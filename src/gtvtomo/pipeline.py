@@ -61,7 +61,6 @@ class ExperimentSpec:
     methods: tuple[str, ...] = ("fbp", "art")
     art_lam: float = 0.25
     art_sweeps: int = 100
-    art_row_order: str = "sequential"
     sirt_lam: float = 1.0
     sirt_iterations: int = 500
     fbp_filter: str = "ram-lak"
@@ -81,7 +80,11 @@ class ExperimentSpec:
                 raise ValueError(f"unknown method {m!r}; expected one of {METHODS}")
         if self.gammas is not None and len(self.gammas) == 0:
             raise ValueError("gamma list must not be empty")
-        denoise_cfg = _solver_configs(self)["denoise"]  # building every solver config checks it
+        # Building the geometry, noise, patch and solver settings checks them.
+        Geometry(self.n, self.rays, self.num_angles, self.detector_span)
+        NoiseSpec(self.noise_level)
+        PatchConfig(self.patch_side, self.neighbors)
+        denoise_cfg = _solver_configs(self)["denoise"]
         for gm in self.gammas or ():
             replace(denoise_cfg, gamma=gm)  # rejects a negative or non-finite weight
 
@@ -95,7 +98,7 @@ def _solver_configs(spec: ExperimentSpec) -> dict:
     """The FBP, ART, SIRT and denoiser settings a spec describes; building them validates them."""
     return {
         "fbp": FbpConfig(spec.fbp_filter, spec.fbp_interpolation),
-        "art": ArtConfig(spec.art_lam, spec.art_sweeps, spec.art_row_order, spec.seed),
+        "art": ArtConfig(spec.art_lam, spec.art_sweeps),
         "sirt": SirtConfig(spec.sirt_lam, spec.sirt_iterations),
         "denoise": DenoiseConfig(0.0, spec.denoise_epsilon, spec.denoise_max_iters),
     }

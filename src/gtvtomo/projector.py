@@ -114,6 +114,7 @@ class ProjectionOperator:
             )
         self._transpose = None
         self._row_norms_sq = None
+        self._art_schedule = None
 
     @property
     def rows(self) -> int:
@@ -136,6 +137,38 @@ class ProjectionOperator:
                 self.matrix.multiply(self.matrix).sum(axis=1)
             ).ravel()
         return self._row_norms_sq
+
+    @property
+    def art_schedule(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(rows, bounds)``: the nonzero rows in Kaczmarz order, grouped into levels.
+
+        Level ``j`` is ``rows[bounds[j]:bounds[j + 1]]``; its rows have
+        pairwise disjoint pixel supports.  Built on first use.
+        """
+        if self._art_schedule is None:
+            self._art_schedule = _art_schedule(self.matrix, self.row_norms_sq, self.geometry.q)
+        return self._art_schedule
+
+
+def _art_schedule(matrix: sp.csr_matrix, norms_sq: np.ndarray, q: int) -> tuple[np.ndarray, np.ndarray]:
+    """Angle-major order with even rays before odd, then level-scheduled.
+
+    A row's level is one more than the highest level of the earlier rows
+    sharing a pixel with it, so rows of one level commute and the levels in
+    ascending order apply the rows exactly as that order does.
+    """
+    active = np.flatnonzero(norms_sq > 0)
+    ray, angle = active // q, active % q
+    order = active[np.lexsort((ray, ray % 2, angle))]
+    indptr, indices = matrix.indptr, matrix.indices
+    last = np.zeros(matrix.shape[1], dtype=np.int64)  # highest level seen at each pixel
+    levels = np.empty(order.size, dtype=np.int64)
+    for pos, i in enumerate(order):
+        cols = indices[indptr[i] : indptr[i + 1]]
+        levels[pos] = last[cols].max() + 1
+        last[cols] = levels[pos]
+    bounds = np.concatenate(([0], np.cumsum(np.bincount(levels)[1:])))
+    return order[np.argsort(levels, kind="stable")], bounds
 
 
 def build_projector(geometry: Geometry) -> ProjectionOperator:

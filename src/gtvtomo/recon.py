@@ -20,7 +20,6 @@ from gtvtomo.projector import Geometry, ProjectionOperator, Sinogram
 
 FBP_FILTERS = ("ram-lak", "shepp-logan", "cosine")
 FBP_INTERPOLATIONS = ("linear", "nearest")
-ROW_ORDERS = ("sequential", "randomized")
 
 _DIVERGENCE_LIMIT = 1e12
 
@@ -35,16 +34,12 @@ class ArtConfig:
 
     lam: float = 0.25
     sweeps: int = 100
-    row_order: str = "sequential"
-    seed: int = 0
 
     def __post_init__(self):
         if not 0.0 < self.lam < 2.0:
             raise ValueError(f"ART relaxation must be in (0, 2), got {self.lam}")
         if self.sweeps < 1:
             raise ValueError(f"sweeps must be >= 1, got {self.sweeps}")
-        if self.row_order not in ROW_ORDERS:
-            raise ValueError(f"row_order must be one of {ROW_ORDERS}")
 
 
 @dataclass(frozen=True)
@@ -132,28 +127,33 @@ def art(
 ) -> tuple[Image, ErrorCurve]:
     """Kaczmarz: sweep all rows, projecting onto one hyperplane at a time.
 
-    Rows with zero norm (rays that miss the image) are skipped.  The tracker,
-    if given, is called with a copy of the iterate after every sweep; non-None
-    returns are collected into the error curve.
+    Rows with zero norm (rays that miss the image) are skipped.  The others
+    are visited angle-major, with the even rays of each angle before the odd
+    ones.  That order is split into levels (see
+    :attr:`~gtvtomo.projector.ProjectionOperator.art_schedule`) whose rows
+    have disjoint pixel supports, and each level's block ``B`` of rows is
+    applied in one step, ``x += B^T (lam * (b_B - B x) / ||a_i||^2)``.  Rows
+    of one level commute, so a sweep equals the row-by-row sweep in that
+    order up to floating-point summation order.
+    The tracker, if given, is called with a copy of the iterate after every
+    sweep; non-None returns are collected into the error curve.
     """
     b = np.asarray(b, dtype=np.float64)
     if b.size != A.rows:
         raise ValueError(f"data has {b.size} entries but operator has {A.rows} rows")
     x = np.zeros(A.cols)
-    M = A.matrix
-    indptr, indices, data = M.indptr, M.indices, M.data
-    norms_sq = A.row_norms_sq
-    active = np.flatnonzero(norms_sq > 0)
-    rng = np.random.default_rng(cfg.seed) if cfg.row_order == "randomized" else None
+    rows, bounds = A.art_schedule
+    # The row blocks are gathered per call rather than cached on the operator:
+    # a cached copy of the matrix raised the peak RSS of repeated experiments.
+    levels = []
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        level = rows[lo:hi]
+        block = A.matrix[level]
+        levels.append((block, block.T, b[level], A.row_norms_sq[level]))
     tracked = []
     for _ in range(cfg.sweeps):
-        order = rng.permutation(active) if rng is not None else active
-        for i in order:
-            lo, hi = indptr[i], indptr[i + 1]
-            cols = indices[lo:hi]
-            w = data[lo:hi]
-            resid = b[i] - w @ x[cols]
-            x[cols] += (cfg.lam * resid / norms_sq[i]) * w
+        for block, block_t, b_level, norms_level in levels:
+            x += block_t @ (cfg.lam * (b_level - block @ x) / norms_level)
         if tracker is not None:
             val = tracker(x.copy())
             if val is not None:

@@ -21,13 +21,13 @@ SURFACE = {
     ],
     "reconstruct": [
         "--sino", "--n", "--method", "--span", "--fbp-filter", "--fbp-interpolation",
-        "--art-lam", "--art-sweeps", "--art-row-order", "--sirt-lam", "--sirt-iterations",
-        "--seed", "--truth", "--curve", "--out", "--pgm",
+        "--art-lam", "--art-sweeps", "--sirt-lam", "--sirt-iterations",
+        "--truth", "--curve", "--out", "--pgm",
     ],
     "experiment": [
         "--spec", "--out-dir", "--phantom", "--n", "--rays", "--num-angles", "--detector-span",
         "--noise-level", "--patch-side", "--neighbors", "--gammas", "--methods", "--art-lam",
-        "--art-sweeps", "--art-row-order", "--sirt-lam", "--sirt-iterations", "--fbp-filter",
+        "--art-sweeps", "--sirt-lam", "--sirt-iterations", "--fbp-filter",
         "--fbp-interpolation", "--denoise-epsilon", "--denoise-max-iters", "--seed",
     ],
     "table1": [
@@ -42,7 +42,7 @@ FIELD_VALUES = {
     "n": "32",
     "rays": "47",
     "num_angles": "18",
-    "detector_span": "50.5",
+    "detector_span": "100.5",
     "noise_level": "0.05",
     "patch_side": "5",
     "neighbors": "6",
@@ -50,7 +50,6 @@ FIELD_VALUES = {
     "methods": "fbp, sirt",
     "art_lam": "0.5",
     "art_sweeps": "7",
-    "art_row_order": "randomized",
     "sirt_lam": "1.5",
     "sirt_iterations": "40",
     "fbp_filter": "cosine",
@@ -94,7 +93,7 @@ class TestSurface:
         subs = subparsers()
         rec = subs["reconstruct"].parse_args(["--sino", "s", "--n", "8", "--out", "o"])
         spec = cli._spec_from_args(rec, rays=5, num_angles=3)
-        assert spec == ExperimentSpec(n=8, rays=5, num_angles=3, seed=0)
+        assert spec == ExperimentSpec(n=8, rays=5, num_angles=3)
         table = subs["table1"].parse_args(["--out-dir", "d"])
         assert cli._spec_from_args(table) == ExperimentSpec()
 
@@ -189,7 +188,17 @@ class TestEarlyErrors:
         assert "detector_span" in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("line", ["art_row_order = bogus", "sirt_lam = -1"])
+    @pytest.mark.parametrize(
+        "line",
+        [
+            "art_lam = 2",
+            "sirt_lam = -1",
+            "patch_side = 4",
+            "neighbors = 0",
+            "noise_level = -1",
+            "detector_span = 15",
+        ],
+    )
     def test_bad_spec_creates_no_output_dir(self, tmp_path, line):
         out = tmp_path / "never"
         path = tmp_path / "exp.spec"

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+import gtvtomo.patch_graph
+
 from gtvtomo import (
     PatchConfig,
     PatchGraph,
@@ -102,6 +104,19 @@ class TestBuildGraph:
             g = build_graph(points, PatchConfig(3, k))
             got = set(zip(g.edge_i.tolist(), g.edge_j.tolist()))
             assert got == knn_union_oracle(points, k)
+
+    @pytest.mark.parametrize("rows_per_chunk", [1, 3, 7])
+    def test_chunking_does_not_change_the_graph(self, monkeypatch, rows_per_chunk):
+        # chunks of 1, 3 and 7 rows, the last one partial, against one chunk
+        rng = np.random.default_rng(22)
+        points = np.round(rng.standard_normal((50, 4)), 1)  # rounding makes ties
+        whole = build_graph(points, PatchConfig(3, 4))
+        monkeypatch.setattr(gtvtomo.patch_graph, "_KNN_BLOCK_BYTES", 8 * 50 * rows_per_chunk)
+        chunked = build_graph(points, PatchConfig(3, 4))
+        for name in ("edge_i", "edge_j", "weights"):
+            assert getattr(chunked, name).tobytes() == getattr(whole, name).tobytes()
+        assert chunked.sigma == whole.sigma
+        assert set(zip(chunked.edge_i.tolist(), chunked.edge_j.tolist())) == knn_union_oracle(points, 4)
 
     def test_duplicate_points_tie_break(self):
         # four copies of the same point plus two distant ones: ties must

@@ -49,9 +49,18 @@ class TestExperimentSpec:
             ExperimentSpec(methods=("fbp", "mlem"))
         with pytest.raises(ValueError):
             ExperimentSpec(gammas=())
-        # Every solver setting is checked when the spec is built, not when it is used.
+        # Every setting is checked when the spec is built, not when it is used.
         for field, bad, message in [
-            ("art_row_order", "bogus", "row_order"),
+            ("n", 0, "image side"),
+            ("rays", 0, "at least one ray"),
+            ("num_angles", 0, "at least one ray and one angle"),
+            ("detector_span", 10.0, "detector_span"),
+            ("detector_span", float("nan"), "detector_span"),
+            ("noise_level", -1.0, "noise level"),
+            ("noise_level", float("inf"), "noise level"),
+            ("patch_side", 4, "patch side"),
+            ("neighbors", 0, "neighbor count"),
+            ("art_lam", 0.0, "ART relaxation"),
             ("art_lam", 2.0, "ART relaxation"),
             ("art_sweeps", 0, "sweeps"),
             ("sirt_lam", -1.0, "lam"),

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from gtvtomo import (
     ArtConfig,
@@ -117,13 +119,6 @@ class TestArt:
         img, _ = art(A, b, ArtConfig(lam=1.0, sweeps=5))
         np.testing.assert_allclose(img.pixels, [2.0, 0.0, 3.0, 4.0], atol=1e-12)
 
-    def test_randomized_order_deterministic(self):
-        A, _, b = well_posed_system(seed=3)
-        cfg = ArtConfig(lam=0.7, sweeps=7, row_order="randomized", seed=42)
-        img1, _ = art(A, b, cfg)
-        img2, _ = art(A, b, cfg)
-        np.testing.assert_array_equal(img1.pixels, img2.pixels)
-
     def test_tracker_called_per_sweep(self):
         A, _, b = well_posed_system(seed=4)
         calls = []
@@ -147,6 +142,54 @@ class TestArt:
         for lam in (0.0, 2.0, -0.5, 2.5):
             with pytest.raises(ValueError):
                 ArtConfig(lam=lam)
+
+
+@st.composite
+def art_problems(draw):
+    """A small geometry, data and relaxation; wide spans leave zero rows."""
+    n = draw(st.integers(1, 12))
+    span = draw(st.one_of(st.none(), st.floats(n, 3.0 * n)))
+    g = Geometry(n, draw(st.integers(1, 30)), draw(st.integers(1, 16)), span)
+    seed = draw(st.integers(0, 2**32 - 1))
+    return g, seed, draw(st.floats(0.05, 1.95))
+
+
+class TestArtSchedule:
+    """The level schedule covers the active rows once, in disjoint levels, in the documented order."""
+
+    @settings(max_examples=60, deadline=None, database=None)
+    @given(art_problems())
+    @example((Geometry(6, 1, 5), 0, 1.0))  # one ray per angle
+    @example((Geometry(6, 9, 1), 1, 1.0))  # one angle
+    @example((Geometry(8, 11, 6), 2, 0.25))  # even angle count: 0° and 90°
+    @example((Geometry(5, 13, 4, detector_span=15.0), 3, 1.5))  # span past the diagonal
+    def test_levels_and_sequential_equivalence(self, problem):
+        g, seed, lam = problem
+        A = build_projector(g)
+        rows, bounds = A.art_schedule
+        active = np.flatnonzero(A.row_norms_sq > 0)
+        np.testing.assert_array_equal(np.sort(rows), active)
+        assert np.all(np.diff(bounds) > 0) and bounds[0] == 0 and bounds[-1] == rows.size
+        M = A.matrix[rows]
+        for lo, hi in zip(bounds[:-1], bounds[1:]):
+            cols = M.indices[M.indptr[lo] : M.indptr[hi]]
+            assert np.unique(cols).size == cols.size
+
+        # Plain Kaczmarz, one row at a time, angle-major with even rays first.
+        rng = np.random.default_rng(seed)
+        b = A.matrix @ rng.random(A.cols) + 0.1 * rng.standard_normal(A.rows)
+        ray, angle = active // g.q, active % g.q
+        order = active[np.lexsort((ray, ray % 2, angle))]
+        x = np.zeros(A.cols)
+        norms_sq = A.row_norms_sq
+        for _ in range(3):
+            for i in order:
+                lo, hi = A.matrix.indptr[i], A.matrix.indptr[i + 1]
+                cols, w = A.matrix.indices[lo:hi], A.matrix.data[lo:hi]
+                x[cols] += (lam * (b[i] - w @ x[cols]) / norms_sq[i]) * w
+        img, _ = art(A, b, ArtConfig(lam=lam, sweeps=3))
+        atol = 1e-12 * np.abs(x).max(initial=0.0)
+        np.testing.assert_allclose(img.pixels, x, rtol=1e-12, atol=atol)
 
 
 class TestSirt:
