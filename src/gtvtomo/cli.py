@@ -93,9 +93,12 @@ def _add_phantom(sub):
 def _add_project(sub):
     p = sub.add_parser("project", help="forward project an image")
     p.add_argument("--image", required=True)
-    p.add_argument("--rays", type=int, default=95)
-    p.add_argument("--num-angles", type=int, default=36)
-    p.add_argument("--span", type=float, default=None, help="detector span (default n*sqrt(2))")
+    _add_spec_flags(
+        p,
+        ("rays", "num_angles", "detector_span"),
+        flags={"detector_span": "--span"},
+        detector_span={"help": "detector span (default n*sqrt(2))"},
+    )
     p.add_argument("--out", required=True, help="raw SINO output path")
     p.add_argument("--csv", help="also write a CSV view (one column per angle)")
     p.set_defaults(run=_cmd_project)
@@ -123,10 +126,11 @@ def _add_denoise(sub):
     )
     p.add_argument("--sino", required=True)
     p.add_argument("--gamma", type=float, required=True)
-    p.add_argument("--patch-side", type=int, default=3)
-    p.add_argument("--neighbors", type=int, default=10)
-    p.add_argument("--epsilon", type=float, default=1e-6)
-    p.add_argument("--max-iters", type=int, default=500)
+    _add_spec_flags(
+        p,
+        ("patch_side", "neighbors", "denoise_epsilon", "denoise_max_iters"),
+        flags={"denoise_epsilon": "--epsilon", "denoise_max_iters": "--max-iters"},
+    )
     p.add_argument("--out", required=True)
     p.add_argument("--trace", help="write the objective trace CSV")
     p.add_argument("--edges", help="write the patch-graph edge list CSV")
@@ -200,7 +204,8 @@ def _cmd_phantom(args) -> int:
 
 def _cmd_project(args) -> int:
     img = read_image_raw(args.image)
-    A = build_projector(Geometry(img.n, args.rays, args.num_angles, args.span))
+    spec = _spec_from_args(args, n=img.n)
+    A = build_projector(Geometry(img.n, spec.rays, spec.num_angles, spec.detector_span))
     sino = forward_project(A, img)
     write_sinogram_raw(sino, args.out)
     if args.csv:
@@ -216,9 +221,10 @@ def _cmd_noise(args) -> int:
 
 def _cmd_denoise(args) -> int:
     sino = read_sinogram_raw(args.sino)
-    pcfg = PatchConfig(args.patch_side, args.neighbors)
+    spec = _spec_from_args(args)
+    cfg = DenoiseConfig(args.gamma, spec.denoise_epsilon, spec.denoise_max_iters)
+    pcfg = PatchConfig(spec.patch_side, spec.neighbors)
     graph = build_graph(extract_patches(sino, pcfg), pcfg)
-    cfg = DenoiseConfig(args.gamma, args.epsilon, args.max_iters)
     z, trace = denoise(sino.values, graph, cfg)
     write_sinogram_raw(Sinogram(sino.p, sino.q, z), args.out)
     if args.trace:

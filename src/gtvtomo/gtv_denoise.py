@@ -63,8 +63,10 @@ def denoise(b: np.ndarray, g: PatchGraph, cfg: DenoiseConfig) -> tuple[np.ndarra
     Returns
     -------
     (z, trace)
-        Denoised signal and the objective trace.  ``gamma = 0`` returns the
-        input unchanged after a single iteration.
+        Denoised signal and the objective trace.  ``gamma = 0``, or a graph
+        with no edge of positive weight, returns the input unchanged after a
+        single iteration: the total-variation term vanishes, so ``b`` is the
+        minimizer.
     """
     b = np.asarray(b, dtype=np.float64)
     if b.shape != (g.node_count,):
@@ -72,7 +74,7 @@ def denoise(b: np.ndarray, g: PatchGraph, cfg: DenoiseConfig) -> tuple[np.ndarra
     if not np.all(np.isfinite(b)):
         raise ValueError("input signal must be finite")
 
-    if cfg.gamma == 0.0 or g.edge_count == 0:
+    if cfg.gamma == 0.0 or not np.any(g.weights > 0):
         return b.copy(), DenoiseTrace([0.0], 1, True)
 
     tau = spectral_norm(g)

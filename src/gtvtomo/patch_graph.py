@@ -200,28 +200,20 @@ def spectral_norm(g: PatchGraph) -> float:
     Runs Rayleigh-quotient power iteration on the node-space operator
     ``divergence(gradient(.))`` until the eigenvalue estimate changes by
     less than 1e-8 relative (at most 10000 iterations), then caches the
-    result on ``g.tau``.
+    result on ``g.tau``.  A graph with no edge of positive weight has a zero
+    operator and is rejected.
     """
     if g.tau is not None:
         return g.tau
-    if g.edge_count == 0:
-        raise ValueError("spectral norm needs at least one edge")
-    rng = np.random.default_rng(0x5EED)
-    v = rng.standard_normal(g.node_count)
+    if not np.any(g.weights > 0):
+        raise ValueError("spectral norm needs at least one edge of positive weight")
+    v = np.random.default_rng(0x5EED).standard_normal(g.node_count)
     v /= np.linalg.norm(v)
     lam_prev = 0.0
-    lam = 0.0
     for _ in range(_POWER_MAX_ITERS):
         w = graph_divergence(g, graph_gradient(g, v))
         lam = float(v @ w)
-        norm_w = np.linalg.norm(w)
-        if norm_w == 0.0 or lam <= 0.0:
-            # v landed in the null space; restart from a fresh direction.
-            v = rng.standard_normal(g.node_count)
-            v /= np.linalg.norm(v)
-            lam_prev = 0.0
-            continue
-        v = w / norm_w
+        v = w / np.linalg.norm(w)
         if abs(lam - lam_prev) <= _POWER_TOL * lam:
             break
         lam_prev = lam

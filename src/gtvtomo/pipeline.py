@@ -14,7 +14,6 @@ formats the per-method minimum errors side by side, raw vs graph-denoised.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
@@ -29,6 +28,7 @@ from gtvtomo.projector import Geometry, Sinogram, build_projector, forward_proje
 from gtvtomo.recon import ArtConfig, FbpConfig, SirtConfig, art, fbp, sirt
 from gtvtomo.serialize import (
     ensure_dir,
+    write_csv,
     write_curve_csv,
     write_image_pgm,
     write_image_raw,
@@ -182,11 +182,10 @@ def run_experiment(spec: ExperimentSpec, projector=None) -> dict:
     outdir = ensure_dir(spec.output_dir)
     artifacts: list[str] = []
 
-    def _save(writer, obj, name):
+    def _save(writer, obj, name, *args):
         path = outdir / name
-        writer(obj, path)
+        writer(obj, path, *args)
         artifacts.append(str(path))
-        return path
 
     truth = generate_phantom(spec.phantom, spec.n, spec.seed)
     geometry = Geometry(spec.n, spec.rays, spec.num_angles, spec.detector_span)
@@ -210,9 +209,9 @@ def run_experiment(spec: ExperimentSpec, projector=None) -> dict:
     denoised = Sinogram(spec.rays, spec.num_angles, best_z)
 
     clean_norm = float(np.linalg.norm(clean.values))
-    rel_noisy = float(np.linalg.norm(noisy.values - clean.values)) / clean_norm if clean_norm else 0.0
-    rel_denoised = (
-        float(np.linalg.norm(denoised.values - clean.values)) / clean_norm if clean_norm else 0.0
+    rel_noisy, rel_denoised = (
+        float(np.linalg.norm(s.values - clean.values)) / clean_norm if clean_norm else 0.0
+        for s in (noisy, denoised)
     )
 
     _save(write_image_raw, truth, "phantom.img")
@@ -221,72 +220,51 @@ def run_experiment(spec: ExperimentSpec, projector=None) -> dict:
     _save(write_sinogram_raw, noisy, "sino_noisy.sino")
     _save(write_sinogram_raw, denoised, "sino_denoised.sino")
 
-    gamma_csv = outdir / "gamma_scores.csv"
-    with open(gamma_csv, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(("gamma", "score"))
-        for gm, sc in zip(gammas, scores):
-            w.writerow([repr(float(gm)), repr(float(sc))])
-    artifacts.append(str(gamma_csv))
+    _save(write_csv, zip(gammas, scores), "gamma_scores.csv", ("gamma", "score"))
 
     center = spec.n // 2
     _save(write_profile_csv, profile(truth, center).values, "profile_truth.csv")
 
     branches = {"raw": noisy, "gd": denoised}
     track = lambda xv: float(np.linalg.norm(xv - truth.pixels))  # noqa: E731
+    rows = []
     results: dict = {}
     for method in spec.methods:
-        results[method] = {}
         for branch, sino in branches.items():
             img, curve = reconstruct(method, sino, spec, A, tracker=track)
             if curve is None:  # FBP: one image, one error
                 curve = ErrorCurve(np.array([l2_error(img, truth)]), "FBP")
             arg, best = min_error(curve)
-            results[method][branch] = {
+            row = {
+                "phantom": spec.phantom,
+                "n": spec.n,
+                "noise_level": spec.noise_level,
+                "seed": spec.seed,
+                "best_gamma": best_gamma,
+                "method": method,
+                "branch": branch,
                 "final_error": float(curve.values[-1]),
                 "min_error": best,
                 "argmin_iteration": arg,
-                "curve": curve,
             }
+            rows.append(row)
+            results.setdefault(method, {})[branch] = {
+                k: row[k] for k in ("final_error", "min_error", "argmin_iteration")
+            } | {"curve": curve}
             tag = f"{method}_{branch}"
             _save(write_image_raw, img, f"recon_{tag}.img")
             _save(write_image_pgm, img, f"recon_{tag}.pgm")
             if curve.values.size > 1:
                 _save(write_curve_csv, curve.values, f"curve_{tag}.csv")
             _save(write_profile_csv, profile(img, center).values, f"profile_{tag}.csv")
-
-    summary_rows = []
-    for method in spec.methods:
-        for branch in BRANCHES:
-            r = results[method][branch]
-            summary_rows.append(
-                {
-                    "phantom": spec.phantom,
-                    "n": spec.n,
-                    "noise_level": spec.noise_level,
-                    "seed": spec.seed,
-                    "best_gamma": best_gamma,
-                    "method": method,
-                    "branch": branch,
-                    "final_error": r["final_error"],
-                    "min_error": r["min_error"],
-                    "argmin_iteration": r["argmin_iteration"],
-                }
-            )
-    summary_csv = outdir / "summary.csv"
-    with open(summary_csv, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(summary_rows[0].keys())
-        for row in summary_rows:
-            w.writerow([repr(v) if isinstance(v, float) else v for v in row.values()])
-    artifacts.append(str(summary_csv))
+    _save(write_csv, [row.values() for row in rows], "summary.csv", rows[0].keys())
 
     with open(outdir / "summary.txt", "w") as fh:
         fh.write(f"phantom={spec.phantom} n={spec.n} noise={spec.noise_level} seed={spec.seed}\n")
         fh.write(f"relative error: noisy={rel_noisy:.6f} denoised={rel_denoised:.6f}\n")
         fh.write(f"best gamma: {best_gamma!r}\n")
         fh.write(f"{'method':<8}{'branch':<8}{'final':>14}{'min':>14}{'argmin':>8}\n")
-        for row in summary_rows:
+        for row in rows:
             fh.write(
                 f"{row['method']:<8}{row['branch']:<8}"
                 f"{row['final_error']:>14.6f}{row['min_error']:>14.6f}"
@@ -374,24 +352,16 @@ def run_table1(
         )
 
     table_csv = Path(outdir) / "table1.csv"
-    with open(table_csv, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(("phantom", "noise_level", "method", "branch", "mean_min_error", "std_min_error", "seeds"))
-        for row in rows:
-            for m in ("fbp", row["iter_method"]):
-                for br in BRANCHES:
-                    cell = row["cells"][m][br]
-                    w.writerow(
-                        [
-                            row["phantom"],
-                            repr(float(row["noise_level"])),
-                            m,
-                            br,
-                            repr(cell["mean"]),
-                            repr(cell["std"]),
-                            len(seeds),
-                        ]
-                    )
+    write_csv(
+        (
+            (row["phantom"], float(row["noise_level"]), m, br, cell["mean"], cell["std"], len(seeds))
+            for row in rows
+            for m, branch_cells in row["cells"].items()
+            for br, cell in branch_cells.items()
+        ),
+        table_csv,
+        ("phantom", "noise_level", "method", "branch", "mean_min_error", "std_min_error", "seeds"),
+    )
 
     table_txt = Path(outdir) / "table1.txt"
     with open(table_txt, "w") as fh:

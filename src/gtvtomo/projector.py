@@ -11,6 +11,7 @@ indices always follow the ``ray * q + angle`` layout of the sinogram vector.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -112,9 +113,6 @@ class ProjectionOperator:
                 f"matrix shape {self.matrix.shape} does not match geometry "
                 f"({g.p * g.q} rows, {g.n * g.n} columns)"
             )
-        self._transpose = None
-        self._row_norms_sq = None
-        self._art_schedule = None
 
     @property
     def rows(self) -> int:
@@ -124,30 +122,22 @@ class ProjectionOperator:
     def cols(self) -> int:
         return self.matrix.shape[1]
 
-    @property
+    @cached_property
     def transpose_matrix(self) -> sp.csr_matrix:
-        if self._transpose is None:
-            self._transpose = self.matrix.T.tocsr()
-        return self._transpose
+        return self.matrix.T.tocsr()
 
-    @property
+    @cached_property
     def row_norms_sq(self) -> np.ndarray:
-        if self._row_norms_sq is None:
-            self._row_norms_sq = np.asarray(
-                self.matrix.multiply(self.matrix).sum(axis=1)
-            ).ravel()
-        return self._row_norms_sq
+        return np.asarray(self.matrix.multiply(self.matrix).sum(axis=1)).ravel()
 
-    @property
+    @cached_property
     def art_schedule(self) -> tuple[np.ndarray, np.ndarray]:
         """``(rows, bounds)``: the nonzero rows in Kaczmarz order, grouped into levels.
 
         Level ``j`` is ``rows[bounds[j]:bounds[j + 1]]``; its rows have
         pairwise disjoint pixel supports.  Built on first use.
         """
-        if self._art_schedule is None:
-            self._art_schedule = _art_schedule(self.matrix, self.row_norms_sq, self.geometry.q)
-        return self._art_schedule
+        return _art_schedule(self.matrix, self.row_norms_sq, self.geometry.q)
 
 
 def _art_schedule(matrix: sp.csr_matrix, norms_sq: np.ndarray, q: int) -> tuple[np.ndarray, np.ndarray]:

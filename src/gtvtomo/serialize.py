@@ -2,7 +2,8 @@
 
 Raw formats carry a one-line ASCII header (``IMG n`` or ``SINO p q``)
 followed by little-endian float64 payload, and round-trip exactly.  PGM is
-lossy (scaled to the 16-bit range) and intended only for viewing.
+lossy (scaled to the 16-bit range) and intended only for viewing.  Every
+CSV but the headerless sinogram view goes through :func:`write_csv`.
 """
 
 from __future__ import annotations
@@ -70,19 +71,23 @@ def write_image_pgm(img: Image, path) -> None:
 
 
 def write_sinogram_csv(s: Sinogram, path) -> None:
-    """One row per detector bin, one column per angle."""
+    """One row per detector bin, one column per angle; no header, LF line ends."""
     with open(path, "w", newline="") as fh:
         for row in s.grid:
             fh.write(",".join(repr(float(v)) for v in row) + "\n")
 
 
-def _write_indexed_csv(values, path, header: tuple[str, str]) -> None:
-    """A header row, then one ``index,value`` row per value."""
+def write_csv(rows, path, header) -> None:
+    """A header row, then one row per record, CRLF-terminated by ``csv.writer``.
+
+    Floats are written as ``repr(float(v))``, the shortest text that reads
+    back to the same value; every other cell as ``str``.
+    """
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(header)
-        for i, v in enumerate(np.asarray(values, dtype=np.float64)):
-            w.writerow([i, repr(float(v))])
+        for row in rows:
+            w.writerow([repr(float(v)) if isinstance(v, float) else v for v in row])
 
 
 def _read_indexed_csv(path) -> np.ndarray:
@@ -92,7 +97,7 @@ def _read_indexed_csv(path) -> np.ndarray:
 
 
 def write_curve_csv(values, path, header: tuple[str, str] = ("iteration", "error")) -> None:
-    _write_indexed_csv(values, path, header)
+    write_csv(enumerate(np.asarray(values, dtype=np.float64).tolist()), path, header)
 
 
 def read_curve_csv(path) -> np.ndarray:
@@ -100,7 +105,7 @@ def read_curve_csv(path) -> np.ndarray:
 
 
 def write_profile_csv(values, path) -> None:
-    _write_indexed_csv(values, path, ("column", "value"))
+    write_csv(enumerate(np.asarray(values, dtype=np.float64).tolist()), path, ("column", "value"))
 
 
 def read_profile_csv(path) -> np.ndarray:
@@ -108,11 +113,7 @@ def read_profile_csv(path) -> np.ndarray:
 
 
 def write_graph_edges_csv(g, path) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(("i", "j", "weight"))
-        for i, j, wt in zip(g.edge_i, g.edge_j, g.weights):
-            w.writerow([int(i), int(j), repr(float(wt))])
+    write_csv(zip(g.edge_i.tolist(), g.edge_j.tolist(), g.weights.tolist()), path, ("i", "j", "weight"))
 
 
 def ensure_dir(path) -> Path:

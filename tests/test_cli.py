@@ -127,16 +127,23 @@ class TestSpecValueErrors:
             parse_spec_file(path)
 
     @pytest.mark.parametrize(
-        "flag,raw,message",
+        "flag,raw,message,command",
         [
-            ("--n", "x", "n: expected an integer, got 'x'"),
-            ("--gammas", "0.1,big", "gammas: expected numbers, got '0.1,big'"),
-            ("--noise-level", "high", "noise_level: expected a number, got 'high'"),
+            ("--n", "x", "n: expected an integer, got 'x'", "experiment"),
+            ("--gammas", "0.1,big", "gammas: expected numbers, got '0.1,big'", "experiment"),
+            ("--noise-level", "high", "noise_level: expected a number, got 'high'", "experiment"),
+            ("--rays", "x", "rays: expected an integer, got 'x'", "project"),
+            ("--num-angles", "1.5", "num_angles: expected an integer, got '1.5'", "project"),
+            ("--span", "wide", "detector_span: expected a number, got 'wide'", "project"),
+            ("--patch-side", "x", "patch_side: expected an integer, got 'x'", "denoise"),
+            ("--neighbors", "x", "neighbors: expected an integer, got 'x'", "denoise"),
+            ("--epsilon", "tiny", "denoise_epsilon: expected a number, got 'tiny'", "denoise"),
+            ("--max-iters", "x", "denoise_max_iters: expected an integer, got 'x'", "denoise"),
         ],
     )
-    def test_flag_gives_the_same_message(self, capsys, flag, raw, message):
+    def test_flag_gives_the_same_message(self, capsys, flag, raw, message, command):
         with pytest.raises(SystemExit) as exc:
-            main(["experiment", flag, raw])
+            main([command, flag, raw])
         assert exc.value.code == 2
         assert message in capsys.readouterr().err
 

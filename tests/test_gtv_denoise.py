@@ -84,13 +84,17 @@ class TestDenoiseBasics:
             assert trace.iterations_run == 1
 
     def test_zero_gradient_inputs_are_fixed_points(self):
-        # constant per connected component: the gradient vanishes, so the
-        # solver stops immediately and returns the input unchanged
-        g = graph_from_edges(4, [(0, 1, 1.0), (2, 3, 1.0)])
-        b = np.array([1.0, 1.0, -4.0, -4.0])
-        z, trace = denoise(b, g, DenoiseConfig(5.0))
-        assert np.array_equal(z, b)
-        assert trace.iterations_run == 1
+        # constant per connected component, or every edge of weight 0: the
+        # gradient vanishes, so the solver stops immediately and returns the
+        # input unchanged
+        cases = [
+            (graph_from_edges(4, [(0, 1, 1.0), (2, 3, 1.0)]), np.array([1.0, 1.0, -4.0, -4.0])),
+            (graph_from_edges(3, [(0, 1, 0.0), (1, 2, 0.0)]), np.array([1.0, -2.0, 3.0])),
+        ]
+        for g, b in cases:
+            z, trace = denoise(b, g, DenoiseConfig(5.0))
+            assert np.array_equal(z, b)
+            assert trace.iterations_run == 1
 
     def test_input_validation(self):
         g = two_node()

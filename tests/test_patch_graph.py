@@ -231,9 +231,10 @@ class TestSpectralNorm:
         assert spectral_norm(g) == tau
 
     def test_edgeless_graph_rejected(self):
-        g = graph_from_edges(3, [])
-        with pytest.raises(ValueError):
-            spectral_norm(g)
+        # no edges, or only edges of weight 0: the operator is zero
+        for edges in ([], [(0, 1, 0.0), (1, 2, 0.0)]):
+            with pytest.raises(ValueError):
+                spectral_norm(graph_from_edges(3, edges))
 
 
 class TestGraphFromEdges:

@@ -1,3 +1,4 @@
+import csv
 from pathlib import Path
 
 import numpy as np
@@ -32,6 +33,14 @@ def small_spec(tmp_path, **overrides):
     )
     base.update(overrides)
     return ExperimentSpec(**base)
+
+
+def read_table(path):
+    """Header and rows (as dicts) of a CSV written by serialize.write_csv."""
+    with open(path, newline="") as fh:
+        header, *rows = csv.reader(fh)
+    assert Path(path).read_bytes().count(b"\r\n") == len(rows) + 1
+    return header, [dict(zip(header, row)) for row in rows]
 
 
 class TestExperimentSpec:
@@ -148,6 +157,27 @@ class TestRunExperiment:
                 reader = read_curve_csv if path.name.startswith("curve_") else read_profile_csv
                 assert reader(path).size > 0
 
+        # Floats read back exactly; integer columns carry no decimal point.
+        out = Path(spec.output_dir)
+        _, rows = read_table(out / "gamma_scores.csv")
+        assert [(float(r["gamma"]), float(r["score"])) for r in rows] == summary["gamma_scores"]
+        header, rows = read_table(out / "summary.csv")
+        assert header == [
+            "phantom", "n", "noise_level", "seed", "best_gamma", "method", "branch",
+            "final_error", "min_error", "argmin_iteration",
+        ]
+        assert [(r["method"], r["branch"]) for r in rows] == [
+            (m, br) for m in spec.methods for br in ("raw", "gd")
+        ]
+        for r in rows:
+            rec = summary["methods"][r["method"]][r["branch"]]
+            assert (r["phantom"], r["n"], r["seed"]) == (spec.phantom, str(spec.n), str(spec.seed))
+            assert float(r["noise_level"]) == spec.noise_level
+            assert float(r["best_gamma"]) == summary["best_gamma"]
+            assert float(r["final_error"]) == rec["final_error"]
+            assert float(r["min_error"]) == rec["min_error"]
+            assert r["argmin_iteration"] == str(rec["argmin_iteration"])
+
     def test_reproducible_bit_identical(self, tmp_path):
         spec_a = small_spec(tmp_path, output_dir=str(tmp_path / "a"))
         spec_b = small_spec(tmp_path, output_dir=str(tmp_path / "b"))
@@ -203,8 +233,21 @@ class TestRunTable1:
         assert len(cell["values"]) == 2
         assert cell["mean"] == pytest.approx(np.mean(cell["values"]))
         assert cell["std"] == pytest.approx(np.std(cell["values"]))
-        assert Path(record["csv"]).exists()
         assert Path(record["txt"]).exists()
+        header, lines = read_table(record["csv"])
+        assert header == [
+            "phantom", "noise_level", "method", "branch", "mean_min_error", "std_min_error", "seeds",
+        ]
+        assert [
+            (r["phantom"], float(r["noise_level"]), r["method"], r["branch"],
+             float(r["mean_min_error"]), float(r["std_min_error"]), r["seeds"])
+            for r in lines
+        ] == [
+            (row["phantom"], row["noise_level"], m, br, c["mean"], c["std"], "2")
+            for row in record["rows"]
+            for m, cells in row["cells"].items()
+            for br, c in cells.items()
+        ]
 
     def test_requires_seeds(self, tmp_path):
         with pytest.raises(ValueError):

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from gtvtomo import Image, Sinogram, graph_from_edges
 from gtvtomo.serialize import (
@@ -43,6 +45,36 @@ class TestRawRoundTrips:
             read_image_raw(path)
         with pytest.raises(ValueError):
             read_sinogram_raw(path)
+
+
+# Arbitrary bytes, token soup near the real syntax, and well-formed headers
+# with payloads of whole float64 values, so that some inputs parse and the
+# size checks run.
+_TOKENS = st.one_of(
+    st.sampled_from([b"IMG", b"SINO", b"0", b"1", b"2", b"-1", b"2.5", b"1e3", b"\xff"]),
+    st.binary(max_size=4),
+)
+_SIZES = st.lists(st.sampled_from([b"1", b"2", b"3"]), min_size=1, max_size=2)
+_HEADERS = st.one_of(
+    st.binary(max_size=24),
+    st.lists(_TOKENS, max_size=4).map(b" ".join),
+    st.tuples(st.sampled_from([b"IMG", b"SINO"]), _SIZES).map(lambda t: b" ".join([t[0], *t[1]])),
+)
+_PAYLOADS = st.one_of(st.binary(max_size=80), st.integers(0, 9).map(lambda k: bytes(8 * k)))
+
+
+class TestRawFuzz:
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(header=_HEADERS, newline=st.booleans(), payload=_PAYLOADS)
+    @example(header=b"SINO 1 2", newline=True, payload=bytes(16))  # parses as a sinogram
+    def test_readers_parse_or_raise_value_error(self, tmp_path_factory, header, newline, payload):
+        path = tmp_path_factory.getbasetemp() / "fuzz.raw"
+        path.write_bytes(header + (b"\n" if newline else b"") + payload)
+        for reader in (read_image_raw, read_sinogram_raw):
+            try:
+                reader(path)
+            except ValueError:
+                pass
 
 
 class TestPgm:
