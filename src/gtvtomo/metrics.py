@@ -12,7 +12,6 @@ class ErrorCurve:
     """l2 reconstruction error per iteration for one method."""
 
     values: np.ndarray = field(repr=False)
-    method_label: str = ""
 
     def __post_init__(self):
         self.values = np.ascontiguousarray(self.values, dtype=np.float64)

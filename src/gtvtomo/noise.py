@@ -22,6 +22,8 @@ class NoiseSpec:
     def __post_init__(self):
         if not np.isfinite(self.relative_level) or self.relative_level < 0:
             raise ValueError(f"relative noise level must be >= 0, got {self.relative_level}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 def add_noise(s: Sinogram, spec: NoiseSpec) -> Sinogram:

@@ -8,8 +8,8 @@ weights are Gaussian in the patch distance, ``exp(-d^2 / sigma^2)``, with
 ``sigma`` the mean distance over all directed K-NN pairs.
 
 Edge signals are plain arrays with one entry per stored undirected edge
-(i, j), i < j.  The graph gradient of a node signal z is
-``sqrt(W_ij) * (z_j - z_i)`` per edge, so its l1 norm counts each unordered
+(i, j), i < j.  The graph gradient is the sparse incidence matrix ``D``,
+``(D z)_e = sqrt(W_ij) * (z_j - z_i)``, so its l1 norm counts each unordered
 pair once; conventions that sum over ordered pairs double this value, which
 simply rescales any regularization weight multiplying it.
 """
@@ -19,12 +19,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.sparse as sp
+from scipy.sparse.linalg import eigsh
 from scipy.spatial.distance import cdist
 
 # Bytes of the distance block that build_graph fills per chunk of nodes.
 _KNN_BLOCK_BYTES = 1 << 20
-_POWER_TOL = 1e-8
-_POWER_MAX_ITERS = 10_000
 
 
 @dataclass(frozen=True)
@@ -46,8 +46,8 @@ class PatchGraph:
     """Undirected weighted graph with cached derived quantities.
 
     Edges are stored once with ``edge_i < edge_j``, sorted lexicographically.
-    ``degree[i]`` is the sum of incident edge weights and ``tau`` caches the
-    spectral norm of the gradient operator once computed.
+    ``incidence`` is the gradient ``D`` (CSR), ``degree[i]`` the sum of
+    incident edge weights and ``tau`` caches ``||D||_2`` once computed.
     """
 
     node_count: int
@@ -73,6 +73,11 @@ class PatchGraph:
         self.degree = np.bincount(self.edge_i, self.weights, self.node_count) + np.bincount(
             self.edge_j, self.weights, self.node_count
         )
+        # Row e holds -sqrt(w) at edge_i[e], then +sqrt(w) at edge_j[e] (sorted, as i < j).
+        ends = np.column_stack((self.edge_i, self.edge_j)).ravel()
+        vals = np.column_stack((-self.sqrt_weights, self.sqrt_weights)).ravel()
+        indptr = np.arange(0, ends.size + 1, 2)
+        self.incidence = sp.csr_matrix((vals, ends, indptr), shape=(self.edge_count, self.node_count))
 
     @property
     def edge_count(self) -> int:
@@ -178,44 +183,36 @@ def build_graph(patches: np.ndarray, cfg: PatchConfig) -> PatchGraph:
 
 
 def graph_gradient(g: PatchGraph, z: np.ndarray) -> np.ndarray:
-    """Edge-wise weighted differences ``sqrt(W_ij) * (z_j - z_i)``."""
+    """Edge-wise weighted differences ``sqrt(W_ij) * (z_j - z_i)``, i.e. ``D z``."""
     z = np.asarray(z, dtype=np.float64)
     if z.shape != (g.node_count,):
         raise ValueError(f"signal must have length {g.node_count}, got shape {z.shape}")
-    return g.sqrt_weights * (z[g.edge_j] - z[g.edge_i])
+    return g.incidence @ z
 
 
 def graph_divergence(g: PatchGraph, u: np.ndarray) -> np.ndarray:
-    """Adjoint of :func:`graph_gradient`: scatters ``sqrt(W) u`` back to nodes."""
+    """Adjoint of :func:`graph_gradient`, ``D^T u``, applied through the transposed (CSC) view."""
     u = np.asarray(u, dtype=np.float64)
     if u.shape != (g.edge_count,):
         raise ValueError(f"edge signal must have length {g.edge_count}, got shape {u.shape}")
-    su = g.sqrt_weights * u
-    return np.bincount(g.edge_j, su, g.node_count) - np.bincount(g.edge_i, su, g.node_count)
+    return g.incidence.T @ u
 
 
 def spectral_norm(g: PatchGraph) -> float:
-    """Largest singular value of the gradient operator, by power iteration.
+    """Largest singular value ``||D||_2`` of the gradient operator.
 
-    Runs Rayleigh-quotient power iteration on the node-space operator
-    ``divergence(gradient(.))`` until the eigenvalue estimate changes by
-    less than 1e-8 relative (at most 10000 iterations), then caches the
-    result on ``g.tau``.  A graph with no edge of positive weight has a zero
-    operator and is rejected.
+    The top eigenvalue of ``D^T D`` comes from ARPACK's implicitly restarted
+    Lanczos (``eigsh``) at machine precision, started from a seeded normal
+    vector (the constant vector lies in the null space of ``D``); its square
+    root is cached on ``g.tau``.  A graph with no edge of positive weight has
+    a zero operator and is rejected.
     """
     if g.tau is not None:
         return g.tau
     if not np.any(g.weights > 0):
         raise ValueError("spectral norm needs at least one edge of positive weight")
-    v = np.random.default_rng(0x5EED).standard_normal(g.node_count)
-    v /= np.linalg.norm(v)
-    lam_prev = 0.0
-    for _ in range(_POWER_MAX_ITERS):
-        w = graph_divergence(g, graph_gradient(g, v))
-        lam = float(v @ w)
-        v = w / np.linalg.norm(w)
-        if abs(lam - lam_prev) <= _POWER_TOL * lam:
-            break
-        lam_prev = lam
+    D = g.incidence
+    v0 = np.random.default_rng(0x5EED).standard_normal(g.node_count)
+    lam = eigsh(D.T @ D, k=1, v0=v0, return_eigenvectors=False)[0]
     g.tau = float(np.sqrt(lam))
     return g.tau

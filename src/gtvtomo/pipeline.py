@@ -82,7 +82,7 @@ class ExperimentSpec:
             raise ValueError("gamma list must not be empty")
         # Building the geometry, noise, patch and solver settings checks them.
         Geometry(self.n, self.rays, self.num_angles, self.detector_span)
-        NoiseSpec(self.noise_level)
+        NoiseSpec(self.noise_level, self.seed)  # seed >= 0 covers the phantom and noise seeds
         PatchConfig(self.patch_side, self.neighbors)
         denoise_cfg = _solver_configs(self)["denoise"]
         for gm in self.gammas or ():
@@ -233,7 +233,7 @@ def run_experiment(spec: ExperimentSpec, projector=None) -> dict:
         for branch, sino in branches.items():
             img, curve = reconstruct(method, sino, spec, A, tracker=track)
             if curve is None:  # FBP: one image, one error
-                curve = ErrorCurve(np.array([l2_error(img, truth)]), "FBP")
+                curve = ErrorCurve(np.array([l2_error(img, truth)]))
             arg, best = min_error(curve)
             row = {
                 "phantom": spec.phantom,
@@ -310,24 +310,21 @@ def run_table1(
     seeds = [int(s) for s in seeds]
     if not seeds:
         raise ValueError("need at least one seed")
-    outdir = ensure_dir(output_dir)
     base = base if base is not None else ExperimentSpec()
+    # Every spec is built, and so checked, before any directory or projector exists.
+    row_specs = []
+    for phantom, noise_level, iter_method in TABLE1_ROWS:
+        level = noise_level if noise_override is None else noise_override
+        row = replace(base, phantom=phantom, noise_level=level, methods=("fbp", iter_method))
+        rowdir = Path(output_dir) / f"{phantom}_rn{int(round(level * 100)):02d}"
+        row_specs.append([replace(row, seed=seed, output_dir=str(rowdir / f"seed_{seed}")) for seed in seeds])
+    outdir = ensure_dir(output_dir)
     projector = build_projector(Geometry(base.n, base.rays, base.num_angles, base.detector_span))
 
     rows = []
-    for phantom, noise_level, iter_method in TABLE1_ROWS:
-        if noise_override is not None:
-            noise_level = noise_override
+    for (phantom, _, iter_method), specs in zip(TABLE1_ROWS, row_specs):
         cells: dict = {m: {br: [] for br in BRANCHES} for m in ("fbp", iter_method)}
-        for seed in seeds:
-            spec = replace(
-                base,
-                phantom=phantom,
-                noise_level=noise_level,
-                methods=("fbp", iter_method),
-                seed=seed,
-                output_dir=str(Path(outdir) / f"{phantom}_rn{int(round(noise_level * 100)):02d}" / f"seed_{seed}"),
-            )
+        for spec in specs:
             summary = run_experiment(spec, projector=projector)
             for m in ("fbp", iter_method):
                 for br in BRANCHES:
@@ -335,7 +332,7 @@ def run_table1(
         rows.append(
             {
                 "phantom": phantom,
-                "noise_level": noise_level,
+                "noise_level": specs[0].noise_level,
                 "iter_method": iter_method,
                 "cells": {
                     m: {

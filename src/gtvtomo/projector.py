@@ -101,7 +101,7 @@ class Sinogram:
 
 @dataclass(eq=False)
 class ProjectionOperator:
-    """Immutable sparse projection matrix with its geometry attached."""
+    """Immutable CSR projection matrix with its geometry; ``transpose_matrix`` is a CSC view of it."""
 
     matrix: sp.csr_matrix = field(repr=False)
     geometry: Geometry
@@ -122,9 +122,9 @@ class ProjectionOperator:
     def cols(self) -> int:
         return self.matrix.shape[1]
 
-    @cached_property
-    def transpose_matrix(self) -> sp.csr_matrix:
-        return self.matrix.T.tocsr()
+    @property
+    def transpose_matrix(self) -> sp.csc_matrix:
+        return self.matrix.T
 
     @cached_property
     def row_norms_sq(self) -> np.ndarray:

@@ -158,7 +158,7 @@ def art(
             val = tracker(x.copy())
             if val is not None:
                 tracked.append(float(val))
-    return Image(A.geometry.n, x), ErrorCurve(np.asarray(tracked, dtype=np.float64), "ART")
+    return Image(A.geometry.n, x), ErrorCurve(np.asarray(tracked, dtype=np.float64))
 
 
 def sirt(
@@ -197,4 +197,4 @@ def sirt(
             val = tracker(x.copy())
             if val is not None:
                 tracked.append(float(val))
-    return Image(A.geometry.n, x), ErrorCurve(np.asarray(tracked, dtype=np.float64), "SIRT")
+    return Image(A.geometry.n, x), ErrorCurve(np.asarray(tracked, dtype=np.float64))

@@ -230,3 +230,35 @@ class TestEarlyErrors:
         assert exc.value.code == 2
         assert "argument --seeds: invalid int_list value: '1,x'" in capsys.readouterr().err
         assert not (tmp_path / "t").exists()
+
+    SMALL = ["--n", "16", "--rays", "23", "--num-angles", "10"]
+
+    @pytest.mark.parametrize(
+        "extra, message",
+        [
+            (["--seeds", "1", "--noise-override", "-1"], "relative noise level must be >= 0, got -1.0"),
+            (["--seeds", "1", "--noise-override", "nan"], "relative noise level must be >= 0, got nan"),
+            (["--seeds", "1", "--noise-override", "inf"], "relative noise level must be >= 0, got inf"),
+            (["--seeds", "1,-2"], "seed must be >= 0, got -2"),
+        ],
+        ids=["override-negative", "override-nan", "override-inf", "negative-seed"],
+    )
+    def test_bad_table1_rows_create_no_output_dir(self, tmp_path, capsys, extra, message):
+        out = tmp_path / "t"
+        assert main(["table1", "--out-dir", str(out), *self.SMALL, *extra]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_negative_experiment_seed(self, tmp_path, capsys):
+        out = tmp_path / "e"
+        assert main(["experiment", "--seed", "-3", *self.SMALL, "--out-dir", str(out)]) == 2
+        assert "seed must be >= 0, got -3" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_negative_noise_seed(self, tmp_path, capsys, image):
+        sino, out = tmp_path / "s.sino", tmp_path / "n.sino"
+        assert main(["project", "--image", str(image), "--rays", "23", "--num-angles", "10",
+                     "--out", str(sino)]) == 0
+        assert main(["noise", "--sino", str(sino), "--level", "0.05", "--seed", "-1", "--out", str(out)]) == 2
+        assert "seed must be >= 0, got -1" in capsys.readouterr().err
+        assert not out.exists()

@@ -48,3 +48,7 @@ class TestAddNoise:
             NoiseSpec(-0.1)
         with pytest.raises(ValueError):
             NoiseSpec(float("nan"))
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+            NoiseSpec(0.1, seed=-1)

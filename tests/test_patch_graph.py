@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import gtvtomo.patch_graph
 
@@ -201,6 +203,45 @@ class TestGradientDivergence:
             graph_gradient(g, np.zeros(2))
         with pytest.raises(ValueError):
             graph_divergence(g, np.zeros(3))
+
+
+@st.composite
+def small_graphs(draw):
+    """Graphs on 2-9 nodes with any edge subset; weights may be 0, so nodes may be isolated."""
+    n = draw(st.integers(2, 9))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True))
+    weight = st.one_of(st.just(0.0), st.floats(1e-3, 1e3))
+    return graph_from_edges(n, [(i, j, draw(weight)) for i, j in chosen])
+
+
+K4 = graph_from_edges(4, [(i, j, 1.0) for i in range(4) for j in range(i + 1, 4)])
+
+
+class TestOperatorProperties:
+    """Gradient, divergence and spectral norm against the dense +-sqrt(w) matrix."""
+
+    @settings(max_examples=80, deadline=None, database=None)
+    @given(small_graphs(), st.integers(0, 2**32 - 1))
+    @example(graph_from_edges(2, [(0, 1, 2.5)]), 0)
+    @example(K4, 1)  # D^T D has eigenvalues 0, 4, 4, 4: the top one is repeated 3 times
+    @example(graph_from_edges(8, [(0, 1, 2.0), (1, 2, 0.5), (3, 4, 1.0), (4, 5, 0.0), (5, 6, 3.0)]), 2)
+    @example(graph_from_edges(3, [(0, 1, 0.0), (1, 2, 0.0)]), 3)
+    @example(graph_from_edges(5, []), 4)
+    def test_against_dense(self, g, seed):
+        rng = np.random.default_rng(seed)
+        B = dense_gradient_matrix(g)
+        z = rng.standard_normal(g.node_count)
+        u = rng.standard_normal(g.edge_count)
+        np.testing.assert_allclose(graph_gradient(g, z), B @ z, rtol=1e-12, atol=1e-9)
+        np.testing.assert_allclose(graph_divergence(g, u), B.T @ u, rtol=1e-12, atol=1e-9)
+        assert adjoint_gap(graph_gradient(g, z), u, z, graph_divergence(g, u)) <= 1e-10
+        if not np.any(g.weights > 0):
+            with pytest.raises(ValueError):
+                spectral_norm(g)
+            return
+        dense = np.linalg.svd(B, compute_uv=False)[0]
+        assert spectral_norm(g) == pytest.approx(dense, rel=1e-9)
 
 
 class TestSpectralNorm:

@@ -67,6 +67,7 @@ class TestExperimentSpec:
             ("detector_span", float("nan"), "detector_span"),
             ("noise_level", -1.0, "noise level"),
             ("noise_level", float("inf"), "noise level"),
+            ("seed", -1, "seed must be >= 0"),
             ("patch_side", 4, "patch side"),
             ("neighbors", 0, "neighbor count"),
             ("art_lam", 0.0, "ART relaxation"),
