@@ -2,7 +2,7 @@
 
 Each sinogram pixel becomes a node whose feature vector is the vectorized
 l-by-l patch around it (replicate padding at the border).  Nodes are linked
-to their K nearest neighbors in patch space (exact search, ties broken by
+to their K nearest neighbors in patch space (k-d tree, exact, ties broken by
 lower node index) and the directed edge set is symmetrized by union.  Edge
 weights are Gaussian in the patch distance, ``exp(-d^2 / sigma^2)``, with
 ``sigma`` the mean distance over all directed K-NN pairs.
@@ -21,10 +21,11 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import eigsh
-from scipy.spatial.distance import cdist
+from scipy.spatial import cKDTree, distance
 
-# Bytes of the distance block that build_graph fills per chunk of nodes.
-_KNN_BLOCK_BYTES = 1 << 20
+# Relative margin within which k-th and (k+1)-th tree distances count as tied:
+# the tree and cdist round the same distance differently in the last bits.
+_TIE_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -55,7 +56,7 @@ class PatchGraph:
     edge_j: np.ndarray = field(repr=False)
     weights: np.ndarray = field(repr=False)
     sigma: float = 1.0
-    tau: float | None = None
+    tau: float | None = field(default=None, init=False)
 
     def __post_init__(self):
         self.edge_i = np.ascontiguousarray(self.edge_i, dtype=np.int64)
@@ -128,12 +129,12 @@ def _knn_select(dist_row: np.ndarray, k: int) -> np.ndarray:
 
 
 def build_graph(patches: np.ndarray, cfg: PatchConfig) -> PatchGraph:
-    """Exact symmetrized K-NN graph over patch vectors.
+    """Exact symmetrized K-NN graph over patch vectors (k-d tree; ties go to the lower index).
 
     Parameters
     ----------
     patches : (N, d) array
-        One feature vector per node.
+        One finite feature vector per node.
     cfg : PatchConfig
         ``cfg.k`` neighbors per node.
 
@@ -152,27 +153,23 @@ def build_graph(patches: np.ndarray, cfg: PatchConfig) -> PatchGraph:
     k = cfg.k
     if n < k + 1:
         raise ValueError(f"need at least {k + 1} patches for k={k}, got {n}")
+    if not np.all(np.isfinite(patches)):
+        raise ValueError("patches must be finite (found NaN or inf)")
 
-    neighbor_idx = np.empty((n, k), dtype=np.int64)
-    neighbor_dist = np.empty((n, k))
-    # One small block is reused for every chunk; a large block allocated per
-    # chunk leaves the process's peak memory to heap fragmentation.
-    chunk = max(1, min(n, _KNN_BLOCK_BYTES // (8 * n)))
-    block = np.empty((chunk, n))
-    for start in range(0, n, chunk):
-        stop = min(start + chunk, n)
-        d = cdist(patches[start:stop], patches, out=block[: stop - start])
-        d[np.arange(stop - start), np.arange(start, stop)] = np.inf
-        for local in range(stop - start):
-            sel = _knn_select(d[local], k)
-            neighbor_idx[start + local] = sel
-            neighbor_dist[start + local] = d[local, sel]
-
-    sigma = float(neighbor_dist.mean())
+    dist, idx = cKDTree(patches).query(patches, k=k + 2)
+    sigma = float(dist[:, 1 : k + 1].mean())
     if sigma == 0.0:
         sigma = 1.0
 
-    src = np.repeat(np.arange(n, dtype=np.int64), k)
+    # Hits 0..k are the node and k neighbors; hit 0 takes the node's slot if a duplicate came first.
+    rows = np.arange(n)
+    neighbor_idx = np.where(idx[:, 1 : k + 1] == rows[:, None], idx[:, :1], idx[:, 1 : k + 1])
+    for r in rows[dist[:, k + 1] <= dist[:, k] * (1 + _TIE_TOL)]:
+        d = distance.cdist(patches[r : r + 1], patches)[0]
+        d[r] = np.inf
+        neighbor_idx[r] = _knn_select(d, k)
+
+    src = np.repeat(rows, k)
     dst = neighbor_idx.ravel()
     pairs = np.stack([np.minimum(src, dst), np.maximum(src, dst)], axis=1)
     pairs = np.unique(pairs, axis=0)

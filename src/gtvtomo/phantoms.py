@@ -84,8 +84,8 @@ def generate_phantom(kind: str, n: int, seed: int = 0) -> Image:
     n : int
         Image side in pixels, at least 8.
     seed : int
-        Seed for the random phantoms.  ``shepp-logan`` and ``smooth`` are
-        deterministic closed forms and ignore it.
+        Seed for the random phantoms, at least 0.  ``shepp-logan`` and
+        ``smooth`` are deterministic closed forms and ignore it.
 
     Returns
     -------
@@ -94,6 +94,8 @@ def generate_phantom(kind: str, n: int, seed: int = 0) -> Image:
     """
     if n < 8:
         raise ValueError(f"phantom side must be at least 8, got {n}")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     if kind == "shepp-logan":
         grid = _shepp_logan(n)
     elif kind == "smooth":

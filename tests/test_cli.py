@@ -255,6 +255,12 @@ class TestEarlyErrors:
         assert "seed must be >= 0, got -3" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_negative_phantom_seed(self, tmp_path, capsys):
+        out = tmp_path / "ph.img"
+        assert main(["phantom", "--kind", "binary", "--n", "16", "--seed", "-1", "--out", str(out)]) == 2
+        assert "seed must be >= 0, got -1" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_negative_noise_seed(self, tmp_path, capsys, image):
         sino, out = tmp_path / "s.sino", tmp_path / "n.sino"
         assert main(["project", "--image", str(image), "--rays", "23", "--num-angles", "10",

@@ -1,3 +1,5 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -20,16 +22,36 @@ from gtvtomo import (
 from conftest import adjoint_gap
 
 
-def knn_union_oracle(points, k):
-    """O(n^2) K-NN with (distance, index) tie order, symmetrized by union."""
+def knn_oracle(points):
+    """O(n^2) neighbor lists: per node, every other node as (distance, index), nearest first."""
     n = len(points)
-    edges = set()
+    lists = []
     for i in range(n):
         d = np.linalg.norm(points - points[i], axis=1)
-        order = sorted((j for j in range(n) if j != i), key=lambda j: (d[j], j))
-        for j in order[:k]:
-            edges.add((min(i, j), max(i, j)))
-    return edges
+        lists.append(sorted((d[j], j) for j in range(n) if j != i))
+    return lists
+
+
+def knn_union_oracle(points, k):
+    """O(n^2) K-NN with (distance, index) tie order, symmetrized by union."""
+    return {(min(i, j), max(i, j)) for i, row in enumerate(knn_oracle(points)) for _, j in row[:k]}
+
+
+@st.composite
+def knn_inputs(draw):
+    """(points, k): continuous, rounded (ties), duplicated or all-identical point sets, n >= k + 1."""
+    k = draw(st.integers(1, 5))
+    n = draw(st.integers(k + 1, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    points = rng.standard_normal((n, draw(st.integers(1, 4))))
+    kind = draw(st.sampled_from(("continuous", "rounded", "duplicated", "identical")))
+    if kind == "rounded":
+        points = np.round(points, 1)
+    elif kind == "duplicated":
+        points = np.round(points[rng.integers(0, max(1, n // 4), n)], 1)
+    elif kind == "identical":
+        points[:] = points[0]
+    return points, k
 
 
 def random_graph(rng, n_nodes, k=3):
@@ -107,18 +129,39 @@ class TestBuildGraph:
             got = set(zip(g.edge_i.tolist(), g.edge_j.tolist()))
             assert got == knn_union_oracle(points, k)
 
-    @pytest.mark.parametrize("rows_per_chunk", [1, 3, 7])
-    def test_chunking_does_not_change_the_graph(self, monkeypatch, rows_per_chunk):
-        # chunks of 1, 3 and 7 rows, the last one partial, against one chunk
-        rng = np.random.default_rng(22)
-        points = np.round(rng.standard_normal((50, 4)), 1)  # rounding makes ties
-        whole = build_graph(points, PatchConfig(3, 4))
-        monkeypatch.setattr(gtvtomo.patch_graph, "_KNN_BLOCK_BYTES", 8 * 50 * rows_per_chunk)
-        chunked = build_graph(points, PatchConfig(3, 4))
-        for name in ("edge_i", "edge_j", "weights"):
-            assert getattr(chunked, name).tobytes() == getattr(whole, name).tobytes()
-        assert chunked.sigma == whole.sigma
-        assert set(zip(chunked.edge_i.tolist(), chunked.edge_j.tolist())) == knn_union_oracle(points, 4)
+    @settings(max_examples=150, deadline=None, database=None)
+    @given(knn_inputs())
+    @example((np.round(np.random.default_rng(22).standard_normal((50, 4)), 1), 4))  # rounding makes ties
+    @example((np.array([[0.0], [1.0], [-np.nextafter(1.0, 2.0)]]), 1))  # node 0: a tie up to one ulp
+    @example((np.repeat(np.eye(3), 4, axis=0), 3))  # 3 duplicates per node: clear rows, self not first
+    @example((np.repeat(np.eye(3), 4, axis=0), 2))  # duplicates tie at distance 0
+    @example((np.arange(4.0)[:, None], 3))  # n = k + 1
+    @example((np.zeros((3, 2)), 2))  # n = k + 1, all identical
+    def test_against_oracle(self, data):
+        """Edges and sigma match the O(n^2) oracle; rows tied in the oracle take the brute-force row."""
+        points, k = data
+        knn_select = gtvtomo.patch_graph._knn_select
+        brute_rows = []
+
+        def spy(dist_row, kk):
+            brute_rows.append(int(np.argmax(dist_row)))  # the node's own entry is the only inf
+            return knn_select(dist_row, kk)
+
+        with mock.patch.object(gtvtomo.patch_graph, "_knn_select", spy):
+            g = build_graph(points, PatchConfig(1, k))
+        assert set(zip(g.edge_i.tolist(), g.edge_j.tolist())) == knn_union_oracle(points, k)
+        lists = knn_oracle(points)
+        mean = np.mean([d for row in lists for d, _ in row[:k]])
+        assert g.sigma == pytest.approx(mean if mean > 0 else 1.0, rel=1e-12)
+        tied = {i for i, row in enumerate(lists) if len(row) > k and row[k][0] <= row[k - 1][0] * (1 + 1e-12)}
+        assert tied <= set(brute_rows)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_patches_rejected(self, bad):
+        points = np.random.default_rng(23).standard_normal((6, 3))
+        points[4, 1] = bad
+        with pytest.raises(ValueError, match="patches must be finite"):
+            build_graph(points, PatchConfig(1, 2))
 
     def test_duplicate_points_tie_break(self):
         # four copies of the same point plus two distant ones: ties must
@@ -131,11 +174,7 @@ class TestBuildGraph:
         rng = np.random.default_rng(3)
         points = rng.random((40, 3))
         g = build_graph(points, PatchConfig(3, 4))
-        dists = []
-        for i in range(40):
-            d = np.linalg.norm(points - points[i], axis=1)
-            order = sorted((j for j in range(40) if j != i), key=lambda j: (d[j], j))
-            dists.extend(d[j] for j in order[:4])
+        dists = [d for row in knn_oracle(points) for d, _ in row[:4]]
         assert g.sigma == pytest.approx(np.mean(dists), rel=1e-12)
 
     def test_weights_gaussian_in_distance(self):
@@ -270,6 +309,11 @@ class TestSpectralNorm:
         tau = spectral_norm(g)
         assert g.tau == tau
         assert spectral_norm(g) == tau
+
+    def test_tau_is_not_a_constructor_argument(self):
+        # a passed tau would be returned unchecked as the denoiser's step bound
+        with pytest.raises(TypeError):
+            PatchGraph(2, np.array([0]), np.array([1]), np.array([1.0]), tau=1.0)
 
     def test_edgeless_graph_rejected(self):
         # no edges, or only edges of weight 0: the operator is zero

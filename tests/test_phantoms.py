@@ -31,6 +31,11 @@ class TestGeneratePhantom:
         with pytest.raises(ValueError):
             generate_phantom("donut", 64)
 
+    @pytest.mark.parametrize("kind", PHANTOM_KINDS)
+    def test_negative_seed_rejected(self, kind):
+        with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+            generate_phantom(kind, 16, seed=-1)
+
     def test_seed_ignored_for_closed_forms(self):
         for kind in ("shepp-logan", "smooth"):
             a = generate_phantom(kind, 32, seed=0)
