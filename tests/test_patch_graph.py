@@ -129,6 +129,21 @@ class TestBuildGraph:
             got = set(zip(g.edge_i.tolist(), g.edge_j.tolist()))
             assert got == knn_union_oracle(points, k)
 
+    @pytest.mark.parametrize("rows_per_chunk", [1, 3, 7])
+    def test_chunking_does_not_change_the_graph(self, monkeypatch, rows_per_chunk):
+        # the k-d tree splits the points into leaf buckets of at most 1, 3 and 7 rows;
+        # the graph must be byte-identical to the one built with the default buckets
+        rng = np.random.default_rng(22)
+        points = np.round(rng.standard_normal((50, 4)), 1)  # rounding makes ties
+        whole = build_graph(points, PatchConfig(3, 4))
+        tree = gtvtomo.patch_graph.cKDTree
+        monkeypatch.setattr(gtvtomo.patch_graph, "cKDTree", lambda data: tree(data, leafsize=rows_per_chunk))
+        chunked = build_graph(points, PatchConfig(3, 4))
+        for name in ("edge_i", "edge_j", "weights"):
+            assert getattr(chunked, name).tobytes() == getattr(whole, name).tobytes()
+        assert chunked.sigma == whole.sigma
+        assert set(zip(chunked.edge_i.tolist(), chunked.edge_j.tolist())) == knn_union_oracle(points, 4)
+
     @settings(max_examples=150, deadline=None, database=None)
     @given(knn_inputs())
     @example((np.round(np.random.default_rng(22).standard_normal((50, 4)), 1), 4))  # rounding makes ties
