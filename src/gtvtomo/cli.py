@@ -236,6 +236,8 @@ def _cmd_denoise(args) -> int:
 
 
 def _cmd_reconstruct(args) -> int:
+    if args.curve and (not args.truth or args.method == "fbp"):
+        raise ValueError("--curve needs --truth and an iterative method")
     sino = read_sinogram_raw(args.sino)
     spec = _spec_from_args(args, rays=sino.p, num_angles=sino.q)
     truth = read_image_raw(args.truth) if args.truth else None
@@ -247,8 +249,6 @@ def _cmd_reconstruct(args) -> int:
     if args.pgm:
         write_image_pgm(img, args.pgm)
     if args.curve:
-        if curve is None or curve.values.size == 0:
-            raise ValueError("--curve needs --truth and an iterative method")
         write_curve_csv(curve.values, args.curve)
     if truth is not None:
         print(f"l2 error: {float(np.linalg.norm(img.pixels - truth.pixels)):.6f}")

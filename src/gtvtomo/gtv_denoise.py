@@ -44,8 +44,11 @@ class DenoiseTrace:
     """Objective values per iteration and how the run ended."""
 
     objective: list[float] = field(default_factory=list)
-    iterations_run: int = 0
     converged: bool = False
+
+    @property
+    def iterations_run(self) -> int:
+        return len(self.objective)  # one objective value per iteration
 
 
 def denoise(b: np.ndarray, g: PatchGraph, cfg: DenoiseConfig) -> tuple[np.ndarray, DenoiseTrace]:
@@ -75,7 +78,7 @@ def denoise(b: np.ndarray, g: PatchGraph, cfg: DenoiseConfig) -> tuple[np.ndarra
         raise ValueError("input signal must be finite")
 
     if cfg.gamma == 0.0 or not np.any(g.weights > 0):
-        return b.copy(), DenoiseTrace([0.0], 1, True)
+        return b.copy(), DenoiseTrace([0.0], True)
 
     tau = spectral_norm(g)
     step = 1.0 / (tau * tau)
@@ -92,7 +95,6 @@ def denoise(b: np.ndarray, g: PatchGraph, cfg: DenoiseConfig) -> tuple[np.ndarra
         resid = b - x
         f = float(resid @ resid) + cfg.gamma * float(np.abs(grad_x).sum())
         trace.objective.append(f)
-        trace.iterations_run += 1
         if f == 0.0:
             trace.converged = True
             break

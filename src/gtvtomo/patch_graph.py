@@ -160,6 +160,8 @@ def build_graph(patches: np.ndarray, cfg: PatchConfig) -> PatchGraph:
     sigma = float(dist[:, 1 : k + 1].mean())
     if sigma == 0.0:
         sigma = 1.0
+    if not np.isfinite(sigma * sigma):
+        raise ValueError("patch distances overflow float64; rescale the sinogram")
 
     # Hits 0..k are the node and k neighbors; hit 0 takes the node's slot if a duplicate came first.
     rows = np.arange(n)

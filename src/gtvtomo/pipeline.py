@@ -283,6 +283,11 @@ def run_experiment(spec: ExperimentSpec, projector=None) -> dict:
     }
 
 
+def _seed_stats(values: list[float]) -> dict:
+    """One table1 cell: mean and population std of the per-seed values."""
+    return {"mean": float(np.mean(values)), "std": float(np.std(values)), "values": values}
+
+
 # Built-in benchmark rows: phantom, noise level, iterative method to pair with FBP.
 TABLE1_ROWS = (
     ("shepp-logan", 0.05, "art"),
@@ -323,30 +328,12 @@ def run_table1(
 
     rows = []
     for (phantom, _, iter_method), specs in zip(TABLE1_ROWS, row_specs):
-        cells: dict = {m: {br: [] for br in BRANCHES} for m in ("fbp", iter_method)}
-        for spec in specs:
-            summary = run_experiment(spec, projector=projector)
-            for m in ("fbp", iter_method):
-                for br in BRANCHES:
-                    cells[m][br].append(summary["methods"][m][br]["min_error"])
-        rows.append(
-            {
-                "phantom": phantom,
-                "noise_level": specs[0].noise_level,
-                "iter_method": iter_method,
-                "cells": {
-                    m: {
-                        br: {
-                            "mean": float(np.mean(cells[m][br])),
-                            "std": float(np.std(cells[m][br])),
-                            "values": [float(v) for v in cells[m][br]],
-                        }
-                        for br in BRANCHES
-                    }
-                    for m in ("fbp", iter_method)
-                },
-            }
-        )
+        runs = [run_experiment(spec, projector=projector)["methods"] for spec in specs]
+        cells = {
+            m: {br: _seed_stats([run[m][br]["min_error"] for run in runs]) for br in BRANCHES}
+            for m in ("fbp", iter_method)
+        }
+        rows.append(dict(phantom=phantom, noise_level=specs[0].noise_level, iter_method=iter_method, cells=cells))
 
     table_csv = Path(outdir) / "table1.csv"
     write_csv(
@@ -365,22 +352,13 @@ def run_table1(
         fh.write("Raw vs graph-denoised (GD) reconstruction, min l2 error over iterations\n")
         fh.write(f"mean over seeds {seeds} (std in parentheses)\n\n")
         for row in rows:
-            m = row["iter_method"]
+            m = row["iter_method"].upper()
+            fh.write(f"{'Phantom':<24}{'FBP':>14}{'FBP-GD':>14}{m:>14}{m + '-GD':>14}\n")
             label = f"{row['phantom']} (RN={row['noise_level']:.2f})"
-            header = f"{'Phantom':<24}{'FBP':>14}{'FBP-GD':>14}{m.upper():>14}{m.upper() + '-GD':>14}\n"
-            fh.write(header)
-            cells = row["cells"]
-            fh.write(
-                f"{label:<24}"
-                f"{cells['fbp']['raw']['mean']:>14.4f}{cells['fbp']['gd']['mean']:>14.4f}"
-                f"{cells[m]['raw']['mean']:>14.4f}{cells[m]['gd']['mean']:>14.4f}\n"
-            )
-            fh.write(
-                f"{'':<24}"
-                f"{'(' + format(cells['fbp']['raw']['std'], '.4f') + ')':>14}"
-                f"{'(' + format(cells['fbp']['gd']['std'], '.4f') + ')':>14}"
-                f"{'(' + format(cells[m]['raw']['std'], '.4f') + ')':>14}"
-                f"{'(' + format(cells[m]['gd']['std'], '.4f') + ')':>14}\n\n"
-            )
+            means, stds = f"{label:<24}", f"{'':<24}"
+            for cell in (c for branch_cells in row["cells"].values() for c in branch_cells.values()):
+                means += f"{cell['mean']:>14.4f}"
+                stds += f"{'(' + format(cell['std'], '.4f') + ')':>14}"
+            fh.write(f"{means}\n{stds}\n\n")
 
     return {"rows": rows, "csv": str(table_csv), "txt": str(table_txt), "seeds": seeds}

@@ -1,11 +1,10 @@
 """Image reconstruction: filtered backprojection, Kaczmarz ART, Cimmino SIRT.
 
 All three consume the sparse :class:`~gtvtomo.projector.ProjectionOperator`
-and the vectorized sinogram.  The iterative solvers accept an optional
-tracker callback receiving the current iterate (called once per ART sweep /
-SIRT iteration); its return values are collected into an
-:class:`~gtvtomo.metrics.ErrorCurve` so that ground truth never enters the
-solver itself.
+and the vectorized sinogram.  ART and SIRT share one block row-projection
+step; a tracker callback gets the iterate after each ART sweep / SIRT
+iteration, and its returns form an :class:`~gtvtomo.metrics.ErrorCurve`, so
+ground truth never enters the solvers.
 """
 
 from __future__ import annotations
@@ -20,8 +19,6 @@ from gtvtomo.projector import Geometry, ProjectionOperator, Sinogram
 
 FBP_FILTERS = ("ram-lak", "shepp-logan", "cosine")
 FBP_INTERPOLATIONS = ("linear", "nearest")
-
-_DIVERGENCE_LIMIT = 1e12
 
 
 class DivergenceError(RuntimeError):
@@ -118,6 +115,34 @@ def fbp(s: Sinogram, geometry: Geometry, cfg: FbpConfig = FbpConfig()) -> Image:
     return Image(n, acc.ravel() * (np.pi / q))
 
 
+def _block_iterate(A: ProjectionOperator, b, blocks, steps: int, tracker) -> tuple[Image, ErrorCurve]:
+    """From ``x = 0``, ``steps`` times apply each ``(rows, c)`` block ``B`` in turn.
+
+    One block is one step ``x += B^T (c * (b_B - B x) / ||a_i||^2)``.  Raises
+    :class:`DivergenceError` if the iterate norm passes 1e12 after a step;
+    non-None tracker returns on a copy of each step's iterate form the curve.
+    """
+    b = np.asarray(b, dtype=np.float64)
+    if b.size != A.rows:
+        raise ValueError(f"data has {b.size} entries but operator has {A.rows} rows")
+    # Blocks are gathered per call, not cached on the operator: a cached copy raised peak RSS.
+    gathered = []
+    for rows, c in blocks:
+        B = A.matrix[rows]
+        gathered.append((B, B.T, b[rows], c, A.row_norms_sq[rows]))
+    x = np.zeros(A.cols)
+    tracked = []
+    for _ in range(steps):
+        for B, B_t, b_B, c, norms_B in gathered:
+            x += B_t @ (c * (b_B - B @ x) / norms_B)
+        if np.linalg.norm(x) > 1e12:
+            raise DivergenceError("iterate norm exceeded 1e12; reduce the relaxation")
+        val = tracker(x.copy()) if tracker is not None else None
+        if val is not None:
+            tracked.append(float(val))
+    return Image(A.geometry.n, x), ErrorCurve(np.asarray(tracked, dtype=np.float64))
+
+
 def art(
     A: ProjectionOperator,
     b: np.ndarray,
@@ -131,34 +156,13 @@ def art(
     are visited angle-major, with the even rays of each angle before the odd
     ones.  That order is split into levels (see
     :attr:`~gtvtomo.projector.ProjectionOperator.art_schedule`) whose rows
-    have disjoint pixel supports, and each level's block ``B`` of rows is
-    applied in one step, ``x += B^T (lam * (b_B - B x) / ||a_i||^2)``.  Rows
-    of one level commute, so a sweep equals the row-by-row sweep in that
-    order up to floating-point summation order.
-    The tracker, if given, is called with a copy of the iterate after every
-    sweep; non-None returns are collected into the error curve.
+    have disjoint pixel supports; each level is one block of the shared step
+    with ``c = lam``.  Rows of one level commute, so a sweep equals the
+    row-by-row sweep in that order up to floating-point summation order.
     """
-    b = np.asarray(b, dtype=np.float64)
-    if b.size != A.rows:
-        raise ValueError(f"data has {b.size} entries but operator has {A.rows} rows")
-    x = np.zeros(A.cols)
     rows, bounds = A.art_schedule
-    # The row blocks are gathered per call rather than cached on the operator:
-    # a cached copy of the matrix raised the peak RSS of repeated experiments.
-    levels = []
-    for lo, hi in zip(bounds[:-1], bounds[1:]):
-        level = rows[lo:hi]
-        block = A.matrix[level]
-        levels.append((block, block.T, b[level], A.row_norms_sq[level]))
-    tracked = []
-    for _ in range(cfg.sweeps):
-        for block, block_t, b_level, norms_level in levels:
-            x += block_t @ (cfg.lam * (b_level - block @ x) / norms_level)
-        if tracker is not None:
-            val = tracker(x.copy())
-            if val is not None:
-                tracked.append(float(val))
-    return Image(A.geometry.n, x), ErrorCurve(np.asarray(tracked, dtype=np.float64))
+    levels = [(rows[lo:hi], cfg.lam) for lo, hi in zip(bounds[:-1], bounds[1:])]
+    return _block_iterate(A, b, levels, cfg.sweeps, tracker)
 
 
 def sirt(
@@ -171,30 +175,11 @@ def sirt(
     """Cimmino: average the relaxed projections onto all row hyperplanes.
 
     ``x <- x + lam/m * A^T diag(1/||a_i||^2) (b - A x)`` with m the number of
-    nonzero rows; zero rows are excluded.  Raises :class:`DivergenceError`
-    if the iterate norm passes 1e12.
+    nonzero rows; zero rows are excluded.  This is the shared projection
+    step with one block of all m nonzero rows and ``c = lam / m``.  Raises
+    :class:`DivergenceError` if the iterate norm passes 1e12.
     """
-    b = np.asarray(b, dtype=np.float64)
-    if b.size != A.rows:
-        raise ValueError(f"data has {b.size} entries but operator has {A.rows} rows")
-    x = np.zeros(A.cols)
-    M = A.matrix
-    MT = A.transpose_matrix
-    norms_sq = A.row_norms_sq
-    mask = norms_sq > 0
-    m = int(mask.sum())
-    if m == 0:
+    active = np.flatnonzero(A.row_norms_sq > 0)
+    if active.size == 0:
         raise ValueError("operator has no nonzero rows")
-    inv = np.zeros_like(norms_sq)
-    inv[mask] = 1.0 / norms_sq[mask]
-    tracked = []
-    for _ in range(cfg.iterations):
-        resid = b - M @ x
-        x = x + (cfg.lam / m) * (MT @ (resid * inv))
-        if np.linalg.norm(x) > _DIVERGENCE_LIMIT:
-            raise DivergenceError("SIRT iterate norm exceeded 1e12; reduce the relaxation")
-        if tracker is not None:
-            val = tracker(x.copy())
-            if val is not None:
-                tracked.append(float(val))
-    return Image(A.geometry.n, x), ErrorCurve(np.asarray(tracked, dtype=np.float64))
+    return _block_iterate(A, b, [(active, cfg.lam / active.size)], cfg.iterations, tracker)

@@ -5,9 +5,10 @@ import numpy as np
 import pytest
 
 import gtvtomo.cli as cli
-from gtvtomo import ExperimentSpec
+from gtvtomo import ExperimentSpec, Sinogram
 from gtvtomo.cli import main
 from gtvtomo.pipeline import parse_spec_file
+from gtvtomo.serialize import write_sinogram_raw
 
 # Option strings of every subcommand; the experiment flags are derived from
 # ExperimentSpec, so a new or renamed spec field shows up here.
@@ -222,6 +223,27 @@ class TestEarlyErrors:
                 "--truth", str(image), "--out", str(out)]
         assert main(args) == 2
         assert "--truth image is 16x16 but --n asks for 32x32" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("method, with_truth", [("fbp", True), ("art", False)], ids=["fbp", "art-no-truth"])
+    def test_curve_needs_truth_and_an_iterative_method(self, tmp_path, capsys, image, method, with_truth):
+        sino = tmp_path / "s.sino"
+        out = tmp_path / "r.img"
+        assert main(["project", "--image", str(image), "--rays", "23", "--num-angles", "10",
+                     "--out", str(sino)]) == 0
+        args = ["reconstruct", "--sino", str(sino), "--n", "16", "--method", method,
+                "--curve", str(tmp_path / "c.csv"), "--out", str(out)]
+        assert main(args + (["--truth", str(image)] if with_truth else [])) == 2
+        assert "--curve needs --truth and an iterative method" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_denoise_rejects_overflowing_sinogram(self, tmp_path, capsys):
+        sino = tmp_path / "big.sino"
+        out = tmp_path / "d.sino"
+        values = 1e200 * np.random.default_rng(3).standard_normal(6 * 4)
+        write_sinogram_raw(Sinogram(6, 4, values), sino)
+        assert main(["denoise", "--sino", str(sino), "--gamma", "0.1", "--out", str(out)]) == 2
+        assert "patch distances overflow float64; rescale the sinogram" in capsys.readouterr().err
         assert not out.exists()
 
     def test_seeds_must_be_integers(self, tmp_path, capsys):

@@ -178,6 +178,11 @@ class TestBuildGraph:
         with pytest.raises(ValueError, match="patches must be finite"):
             build_graph(points, PatchConfig(1, 2))
 
+    def test_overflowing_distances_rejected(self):
+        # Finite values whose squared distances overflow float64 make sigma infinite.
+        with pytest.raises(ValueError, match="patch distances overflow float64"):
+            build_graph(np.array([[0.0], [1e200], [-1e200], [3e200]]), PatchConfig(1, 1))
+
     def test_duplicate_points_tie_break(self):
         # four copies of the same point plus two distant ones: ties must
         # resolve toward lower indices, never to self

@@ -192,6 +192,55 @@ class TestArtSchedule:
         np.testing.assert_allclose(img.pixels, x, rtol=1e-12, atol=atol)
 
 
+class TestSirtOracle:
+    """SIRT against a dense Cimmino loop written from its docstring formula."""
+
+    @settings(max_examples=60, deadline=None, database=None)
+    @given(art_problems())
+    @example((Geometry(6, 1, 5), 0, 1.0))  # one ray per angle
+    @example((Geometry(5, 13, 4, detector_span=15.0), 3, 1.5))  # zero rows past the diagonal
+    @example((Geometry(4, 2, 3, detector_span=12.0), 4, 0.5))  # both rays miss: no nonzero rows
+    def test_matches_dense_cimmino(self, problem):
+        g, seed, lam = problem
+        A = build_projector(g)
+        rng = np.random.default_rng(seed)
+        b = A.matrix @ rng.random(A.cols) + 0.1 * rng.standard_normal(A.rows)
+        M = A.matrix.toarray()
+        norms_sq = np.einsum("ij,ij->i", M, M)
+        keep = norms_sq > 0
+        cfg = SirtConfig(lam=lam, iterations=4)
+        if not keep.any():
+            with pytest.raises(ValueError, match="operator has no nonzero rows"):
+                sirt(A, b, cfg)
+            return
+        M, b_kept, norms_sq = M[keep], b[keep], norms_sq[keep]
+        m = M.shape[0]
+        x = np.zeros(A.cols)
+        expected = []
+        for _ in range(cfg.iterations):
+            x = x + lam / m * (M.T @ ((b_kept - M @ x) / norms_sq))
+            expected.append(x)
+        seen = []
+        img, curve = sirt(A, b, cfg, tracker=seen.append)
+        assert curve.values.size == 0 and len(seen) == cfg.iterations
+        atol = 1e-12 * np.abs(x).max(initial=0.0)
+        for got, want in zip(seen, expected):
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=atol)
+        np.testing.assert_allclose(img.pixels, x, rtol=1e-12, atol=atol)
+
+    def test_all_zero_operator_sirt_rejects(self):
+        A = operator_from_matrix(np.zeros((4, 4)), 2, 2, 2)
+        with pytest.raises(ValueError, match="operator has no nonzero rows"):
+            sirt(A, np.ones(4), SirtConfig(lam=1.0, iterations=3))
+
+    def test_all_zero_operator_art_returns_zeros(self):
+        A = operator_from_matrix(np.zeros((4, 4)), 2, 2, 2)
+        calls = []
+        img, curve = art(A, np.ones(4), ArtConfig(lam=1.0, sweeps=3), tracker=lambda xv: (calls.append(1), 0.5)[1])
+        assert np.all(img.pixels == 0.0)
+        assert len(calls) == 3 and curve.values.size == 3
+
+
 class TestSirt:
     def test_consistent_system_converges(self):
         A, x_true, b = well_posed_system(seed=5)
