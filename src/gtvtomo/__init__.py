@@ -35,7 +35,6 @@ from gtvtomo.gtv_denoise import (
 )
 from gtvtomo.metrics import (
     ErrorCurve,
-    IntensityProfile,
     l2_error,
     min_error,
     profile,
@@ -64,7 +63,6 @@ __all__ = [
     "FbpConfig",
     "Geometry",
     "Image",
-    "IntensityProfile",
     "NoiseSpec",
     "PHANTOM_KINDS",
     "PatchConfig",

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from gtvtomo.patch_graph import PatchGraph, graph_divergence, graph_gradient, spectral_norm
+from gtvtomo.patch_graph import PatchGraph, graph_gradient, spectral_norm
 
 @dataclass(frozen=True)
 class DenoiseConfig:
@@ -83,25 +83,21 @@ def denoise(b: np.ndarray, g: PatchGraph, cfg: DenoiseConfig) -> tuple[np.ndarra
     tau = spectral_norm(g)
     step = 1.0 / (tau * tau)
     bound = cfg.gamma / 2.0
+    D, Dt = g.incidence, g.incidence.T  # Dt is the transposed (CSC) view, not a copy
     u = np.zeros(g.edge_count)
-    x = b
     trace = DenoiseTrace()
     f_prev = None
     for _ in range(cfg.max_iters):
-        x = b - graph_divergence(g, u)
-        grad_x = graph_gradient(g, x)
-        r = u + step * grad_x
-        u = np.clip(r, -bound, bound)
+        x = b - Dt @ u
+        grad_x = D @ x
+        u = np.clip(u + step * grad_x, -bound, bound)
         resid = b - x
         f = float(resid @ resid) + cfg.gamma * float(np.abs(grad_x).sum())
         trace.objective.append(f)
-        if f == 0.0:
+        # f_prev is never 0 here: a zero objective has already stopped the loop.
+        if f == 0.0 or (f_prev is not None and (f - f_prev) ** 2 / f_prev**2 < cfg.epsilon):
             trace.converged = True
             break
-        if f_prev is not None:
-            if f_prev == 0.0 or (f - f_prev) ** 2 / f_prev**2 < cfg.epsilon:
-                trace.converged = True
-                break
         f_prev = f
     return x, trace
 

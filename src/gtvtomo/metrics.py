@@ -23,17 +23,6 @@ class ErrorCurve:
             raise ValueError("curve values must be finite and nonnegative")
 
 
-@dataclass(eq=False)
-class IntensityProfile:
-    """One image row, for line plots across reconstructions."""
-
-    row_index: int
-    values: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        self.values = np.ascontiguousarray(self.values, dtype=np.float64)
-
-
 def l2_error(x, x_true) -> float:
     """Unnormalized Euclidean norm of the pixel difference."""
     a = x.pixels if hasattr(x, "pixels") else np.asarray(x, dtype=np.float64)
@@ -52,13 +41,13 @@ def relative_l2_error(x, x_true) -> float:
     return l2_error(x, x_true) / ref
 
 
-def profile(x, row: int | None = None) -> IntensityProfile:
-    """Extract image row ``row`` (default: center row) as an intensity profile."""
+def profile(x, row: int | None = None) -> np.ndarray:
+    """A copy of image row ``row`` (default: center row), for line plots across reconstructions."""
     if row is None:
         row = x.n // 2
     if row < 0 or row >= x.n:
         raise ValueError(f"row {row} out of range for side {x.n}")
-    return IntensityProfile(row, x.grid[row].copy())
+    return x.grid[row].copy()
 
 
 def min_error(curve: ErrorCurve) -> tuple[int, float]:

@@ -173,12 +173,12 @@ def build_graph(patches: np.ndarray, cfg: PatchConfig) -> PatchGraph:
 
     src = np.repeat(rows, k)
     dst = neighbor_idx.ravel()
-    pairs = np.stack([np.minimum(src, dst), np.maximum(src, dst)], axis=1)
-    pairs = np.unique(pairs, axis=0)
-    diff = patches[pairs[:, 0]] - patches[pairs[:, 1]]
+    # Key i * n + j (i < j) sorts like the pair (i, j), so the unique keys give sorted edges.
+    edge_i, edge_j = np.divmod(np.unique(np.minimum(src, dst) * n + np.maximum(src, dst)), n)
+    diff = patches[edge_i] - patches[edge_j]
     d2 = np.einsum("ij,ij->i", diff, diff)
     weights = np.exp(-d2 / (sigma * sigma))
-    return PatchGraph(n, pairs[:, 0], pairs[:, 1], weights, sigma=sigma)
+    return PatchGraph(n, edge_i, edge_j, weights, sigma=sigma)
 
 
 def graph_gradient(g: PatchGraph, z: np.ndarray) -> np.ndarray:

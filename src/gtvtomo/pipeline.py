@@ -149,13 +149,6 @@ def parse_spec_file(path) -> dict:
     return values
 
 
-def spec_from_file(path, overrides: dict | None = None) -> ExperimentSpec:
-    values = parse_spec_file(path)
-    if overrides:
-        values.update({k: v for k, v in overrides.items() if v is not None})
-    return ExperimentSpec(**values)
-
-
 def reconstruct(method: str, sino: Sinogram, spec: ExperimentSpec, projector=None, tracker=None):
     """Reconstruct with one method and the spec's settings for it.
 
@@ -177,16 +170,10 @@ def run_experiment(spec: ExperimentSpec, projector=None) -> dict:
 
     Returns a summary record with per-method, per-branch errors, the chosen
     gamma and the sweep scores, plus the list of files written.  The record
-    is deterministic for a fixed spec.
+    is deterministic for a fixed spec.  The output directory is created
+    only once the sweep has run, so a spec the data cannot satisfy (a patch
+    or neighbor count too large, FBP on one ray) leaves nothing behind.
     """
-    outdir = ensure_dir(spec.output_dir)
-    artifacts: list[str] = []
-
-    def _save(writer, obj, name, *args):
-        path = outdir / name
-        writer(obj, path, *args)
-        artifacts.append(str(path))
-
     truth = generate_phantom(spec.phantom, spec.n, spec.seed)
     geometry = Geometry(spec.n, spec.rays, spec.num_angles, spec.detector_span)
     A = projector if projector is not None and projector.geometry.key() == geometry.key() else None
@@ -214,6 +201,14 @@ def run_experiment(spec: ExperimentSpec, projector=None) -> dict:
         for s in (noisy, denoised)
     )
 
+    outdir = ensure_dir(spec.output_dir)
+    artifacts: list[str] = []
+
+    def _save(writer, obj, name, *args):
+        path = outdir / name
+        writer(obj, path, *args)
+        artifacts.append(str(path))
+
     _save(write_image_raw, truth, "phantom.img")
     _save(write_image_pgm, truth, "phantom.pgm")
     _save(write_sinogram_raw, clean, "sino_clean.sino")
@@ -223,7 +218,7 @@ def run_experiment(spec: ExperimentSpec, projector=None) -> dict:
     _save(write_csv, zip(gammas, scores), "gamma_scores.csv", ("gamma", "score"))
 
     center = spec.n // 2
-    _save(write_profile_csv, profile(truth, center).values, "profile_truth.csv")
+    _save(write_profile_csv, profile(truth, center), "profile_truth.csv")
 
     branches = {"raw": noisy, "gd": denoised}
     track = lambda xv: float(np.linalg.norm(xv - truth.pixels))  # noqa: E731
@@ -256,7 +251,7 @@ def run_experiment(spec: ExperimentSpec, projector=None) -> dict:
             _save(write_image_pgm, img, f"recon_{tag}.pgm")
             if curve.values.size > 1:
                 _save(write_curve_csv, curve.values, f"curve_{tag}.csv")
-            _save(write_profile_csv, profile(img, center).values, f"profile_{tag}.csv")
+            _save(write_profile_csv, profile(img, center), f"profile_{tag}.csv")
     _save(write_csv, [row.values() for row in rows], "summary.csv", rows[0].keys())
 
     with open(outdir / "summary.txt", "w") as fh:
@@ -316,14 +311,13 @@ def run_table1(
     if not seeds:
         raise ValueError("need at least one seed")
     base = base if base is not None else ExperimentSpec()
-    # Every spec is built, and so checked, before any directory or projector exists.
+    # Every spec is built, and so checked, before any projector exists.
     row_specs = []
     for phantom, noise_level, iter_method in TABLE1_ROWS:
         level = noise_level if noise_override is None else noise_override
         row = replace(base, phantom=phantom, noise_level=level, methods=("fbp", iter_method))
         rowdir = Path(output_dir) / f"{phantom}_rn{int(round(level * 100)):02d}"
         row_specs.append([replace(row, seed=seed, output_dir=str(rowdir / f"seed_{seed}")) for seed in seeds])
-    outdir = ensure_dir(output_dir)
     projector = build_projector(Geometry(base.n, base.rays, base.num_angles, base.detector_span))
 
     rows = []
@@ -335,6 +329,7 @@ def run_table1(
         }
         rows.append(dict(phantom=phantom, noise_level=specs[0].noise_level, iter_method=iter_method, cells=cells))
 
+    outdir = ensure_dir(output_dir)
     table_csv = Path(outdir) / "table1.csv"
     write_csv(
         (

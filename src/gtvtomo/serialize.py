@@ -80,14 +80,14 @@ def write_sinogram_csv(s: Sinogram, path) -> None:
 def write_csv(rows, path, header) -> None:
     """A header row, then one row per record, CRLF-terminated by ``csv.writer``.
 
-    Floats are written as ``repr(float(v))``, the shortest text that reads
-    back to the same value; every other cell as ``str``.
+    ``csv.writer`` writes each float cell (Python or numpy float64) as its
+    shortest round-trip text, the same as ``repr(float(v))``, and every other
+    cell as ``str``.
     """
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(header)
-        for row in rows:
-            w.writerow([repr(float(v)) if isinstance(v, float) else v for v in row])
+        w.writerows(rows)
 
 
 def _read_indexed_csv(path) -> np.ndarray:

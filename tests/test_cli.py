@@ -271,6 +271,27 @@ class TestEarlyErrors:
         assert message in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "command, message",
+        [
+            (["experiment", "--rays", "1"], "patch side 3 too large for a 1x36 sinogram"),
+            (["experiment", "--rays", "2", "--num-angles", "1"], "patch side 3 too large for a 2x1 sinogram"),
+            (["experiment", "--n", "8", "--rays", "3", "--num-angles", "2"], "need at least 11 patches for k=10, got 6"),
+            (
+                ["experiment", "--rays", "1", "--patch-side", "1", "--neighbors", "5"],
+                "filtered backprojection needs at least 2 rays per angle",
+            ),
+            (["table1", "--rays", "1", "--seeds", "1"], "patch side 3 too large for a 1x36 sinogram"),
+        ],
+        ids=["one-ray", "one-angle", "too-few-patches", "fbp-one-ray", "table1-one-ray"],
+    )
+    def test_data_limits_create_no_output_dir(self, tmp_path, capsys, command, message):
+        # limits that depend on the sinogram are only met mid-run, before the first write
+        out = tmp_path / "out"
+        assert main([*command, "--out-dir", str(out)]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
     def test_negative_experiment_seed(self, tmp_path, capsys):
         out = tmp_path / "e"
         assert main(["experiment", "--seed", "-3", *self.SMALL, "--out-dir", str(out)]) == 2

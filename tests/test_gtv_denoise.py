@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gtvtomo import (
     DenoiseConfig,
@@ -12,6 +14,8 @@ from gtvtomo import (
     graph_from_edges,
     objective,
 )
+
+from test_patch_graph import knn_inputs
 
 TIGHT = dict(epsilon=1e-14, max_iters=5000)
 
@@ -111,6 +115,34 @@ class TestDenoiseBasics:
                 DenoiseConfig(bad)
             with pytest.raises(ValueError, match="epsilon"):
                 DenoiseConfig(1.0, epsilon=bad)
+
+
+class TestStopRule:
+    @settings(max_examples=150, deadline=None, database=None)
+    @given(
+        knn_inputs(),
+        st.integers(0, 2**32 - 1),
+        st.floats(1e-3, 10.0),
+        st.floats(-14.0, -1.0).map(lambda e: 10.0**e),
+        st.integers(1, 40),
+    )
+    def test_trace_obeys_the_stop_rule(self, data, seed, gamma, epsilon, max_iters):
+        """Stop at the first iteration with F = 0 or (F - F_prev)^2 / F_prev^2 < epsilon, else at max_iters."""
+        points, k = data
+        g = build_graph(points, PatchConfig(1, k))
+        b = np.random.default_rng(seed).standard_normal(g.node_count)
+        z, trace = denoise(b, g, DenoiseConfig(gamma, epsilon, max_iters))
+        f = trace.objective
+
+        def stops(t):
+            return f[t] == 0.0 or (t > 0 and (f[t] - f[t - 1]) ** 2 / f[t - 1] ** 2 < epsilon)
+
+        assert 1 <= len(f) <= max_iters
+        assert not any(stops(t) for t in range(len(f) - 1))
+        assert trace.converged == stops(len(f) - 1)
+        if not trace.converged:
+            assert len(f) == max_iters
+        assert objective(b, z, g, gamma) == pytest.approx(f[-1], rel=1e-12)
 
 
 class TestObjective:

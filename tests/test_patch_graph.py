@@ -164,7 +164,11 @@ class TestBuildGraph:
 
         with mock.patch.object(gtvtomo.patch_graph, "_knn_select", spy):
             g = build_graph(points, PatchConfig(1, k))
-        assert set(zip(g.edge_i.tolist(), g.edge_j.tolist())) == knn_union_oracle(points, k)
+        # the edge list itself, not only its set, comes out in lexicographic (i, j) order
+        assert list(zip(g.edge_i.tolist(), g.edge_j.tolist())) == sorted(knn_union_oracle(points, k))
+        assert g.edge_i.dtype == g.edge_j.dtype == np.int64
+        d2 = ((points[g.edge_i] - points[g.edge_j]) ** 2).sum(axis=1)
+        np.testing.assert_allclose(g.weights, np.exp(-d2 / g.sigma**2), rtol=1e-12)
         lists = knn_oracle(points)
         mean = np.mean([d for row in lists for d, _ in row[:k]])
         assert g.sigma == pytest.approx(mean if mean > 0 else 1.0, rel=1e-12)

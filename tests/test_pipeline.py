@@ -6,7 +6,7 @@ import pytest
 
 from gtvtomo import ExperimentSpec, run_experiment, run_table1
 from gtvtomo.cli import main
-from gtvtomo.pipeline import default_gamma_grid, parse_spec_file, spec_from_file
+from gtvtomo.pipeline import default_gamma_grid, parse_spec_file
 from gtvtomo.serialize import (
     read_curve_csv,
     read_image_raw,
@@ -108,7 +108,7 @@ class TestSpecFile:
         assert values["gammas"] == (0.0, 0.5)
         assert values["methods"] == ("fbp", "sirt")
         assert values["detector_span"] is None
-        spec = spec_from_file(path, {"seed": 9, "noise_level": None})
+        spec = ExperimentSpec(**parse_spec_file(path) | {"seed": 9})
         assert spec.seed == 9
         assert spec.noise_level == 0.05
 

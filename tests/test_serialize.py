@@ -9,6 +9,7 @@ from gtvtomo.serialize import (
     read_image_raw,
     read_profile_csv,
     read_sinogram_raw,
+    write_csv,
     write_curve_csv,
     write_graph_edges_csv,
     write_image_pgm,
@@ -117,6 +118,16 @@ class TestCsv:
         lines = path.read_text().splitlines()
         assert len(lines) == 2  # p rows
         assert [float(v) for v in lines[0].split(",")] == [0.0, 1.0, 2.0]
+
+    def test_write_csv_exact_bytes(self, tmp_path):
+        floats = [0.1, 1 / 3, 1e16, 1e-5, -0.0, 5e-324]
+        rows = [floats, [np.float64(v) for v in floats], [7, np.int64(-3), "text", np.float64(2.5), 0.25, "x y"]]
+        path = tmp_path / "t.csv"
+        write_csv(rows, path, ("a", "b", "c", "d", "e", "f"))
+        text = [["a", "b", "c", "d", "e", "f"]] + [[repr(float(v)) for v in floats]] * 2
+        text.append(["7", "-3", "text", "2.5", "0.25", "x y"])
+        assert path.read_bytes() == "".join(",".join(row) + "\r\n" for row in text).encode("ascii")
+        assert path.read_bytes().splitlines()[1] == b"0.1,0.3333333333333333,1e+16,1e-05,-0.0,5e-324"
 
     def test_graph_edges(self, tmp_path):
         g = graph_from_edges(3, [(0, 1, 0.5), (1, 2, 0.25)])
