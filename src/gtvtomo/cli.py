@@ -10,13 +10,12 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import fields
+from dataclasses import fields, replace
 
-import numpy as np
-
-from gtvtomo.gtv_denoise import DenoiseConfig, denoise
+from gtvtomo.gtv_denoise import denoise
+from gtvtomo.metrics import l2_error
 from gtvtomo.noise import NoiseSpec, add_noise
-from gtvtomo.patch_graph import PatchConfig, build_graph, extract_patches
+from gtvtomo.patch_graph import build_graph, extract_patches
 from gtvtomo.phantoms import PHANTOM_KINDS, generate_phantom
 from gtvtomo.pipeline import (
     METHODS,
@@ -27,7 +26,7 @@ from gtvtomo.pipeline import (
     run_experiment,
     run_table1,
 )
-from gtvtomo.projector import Geometry, Sinogram, build_projector, forward_project
+from gtvtomo.projector import Sinogram, build_projector, forward_project
 from gtvtomo.recon import FBP_FILTERS, FBP_INTERPOLATIONS, DivergenceError
 from gtvtomo.serialize import (
     read_image_raw,
@@ -205,7 +204,7 @@ def _cmd_phantom(args) -> int:
 def _cmd_project(args) -> int:
     img = read_image_raw(args.image)
     spec = _spec_from_args(args, n=img.n)
-    A = build_projector(Geometry(img.n, spec.rays, spec.num_angles, spec.detector_span))
+    A = build_projector(spec.stages["geometry"])
     sino = forward_project(A, img)
     write_sinogram_raw(sino, args.out)
     if args.csv:
@@ -222,8 +221,8 @@ def _cmd_noise(args) -> int:
 def _cmd_denoise(args) -> int:
     sino = read_sinogram_raw(args.sino)
     spec = _spec_from_args(args)
-    cfg = DenoiseConfig(args.gamma, spec.denoise_epsilon, spec.denoise_max_iters)
-    pcfg = PatchConfig(spec.patch_side, spec.neighbors)
+    cfg = replace(spec.stages["denoise"], gamma=args.gamma)
+    pcfg = spec.stages["patch"]
     graph = build_graph(extract_patches(sino, pcfg), pcfg)
     z, trace = denoise(sino.values, graph, cfg)
     write_sinogram_raw(Sinogram(sino.p, sino.q, z), args.out)
@@ -243,7 +242,7 @@ def _cmd_reconstruct(args) -> int:
     truth = read_image_raw(args.truth) if args.truth else None
     if truth is not None and truth.n != spec.n:
         raise ValueError(f"--truth image is {truth.n}x{truth.n} but --n asks for {spec.n}x{spec.n}")
-    tracker = (lambda xv: float(np.linalg.norm(xv - truth.pixels))) if truth else None
+    tracker = (lambda xv: l2_error(xv, truth)) if truth else None
     img, curve = reconstruct(args.method, sino, spec, tracker=tracker)
     write_image_raw(img, args.out)
     if args.pgm:
@@ -251,7 +250,7 @@ def _cmd_reconstruct(args) -> int:
     if args.curve:
         write_curve_csv(curve.values, args.curve)
     if truth is not None:
-        print(f"l2 error: {float(np.linalg.norm(img.pixels - truth.pixels)):.6f}")
+        print(f"l2 error: {l2_error(img, truth):.6f}")
     return 0
 
 

@@ -15,6 +15,7 @@ formats the per-method minimum errors side by side, raw vs graph-denoised.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields, replace
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -47,7 +48,10 @@ def default_gamma_grid() -> list[float]:
 
 @dataclass(frozen=True)
 class ExperimentSpec:
-    """Everything one pipeline run needs; defaults match the desk-scale setup."""
+    """Everything one pipeline run needs; defaults match the desk-scale setup.
+
+    :attr:`stages` holds the settings of each stage, built and so checked with the spec.
+    """
 
     phantom: str = "shepp-logan"
     n: int = 64
@@ -57,7 +61,7 @@ class ExperimentSpec:
     noise_level: float = 0.08
     patch_side: int = 3
     neighbors: int = 10
-    gammas: tuple[float, ...] | None = None  # None -> default_gamma_grid()
+    gammas: tuple[float, ...] = tuple(default_gamma_grid())
     methods: tuple[str, ...] = ("fbp", "art")
     art_lam: float = 0.25
     art_sweeps: int = 100
@@ -78,30 +82,27 @@ class ExperimentSpec:
         for m in self.methods:
             if m not in METHODS:
                 raise ValueError(f"unknown method {m!r}; expected one of {METHODS}")
-        if self.gammas is not None and len(self.gammas) == 0:
+        if len(self.gammas) == 0:
             raise ValueError("gamma list must not be empty")
-        # Building the geometry, noise, patch and solver settings checks them.
-        Geometry(self.n, self.rays, self.num_angles, self.detector_span)
+        for name, items in (("method", self.methods), ("gamma", self.gammas)):
+            if len(set(items)) < len(items):
+                raise ValueError(f"each {name} may be listed once, got {items}")
+        denoise_cfg = self.stages["denoise"]
         NoiseSpec(self.noise_level, self.seed)  # seed >= 0 covers the phantom and noise seeds
-        PatchConfig(self.patch_side, self.neighbors)
-        denoise_cfg = _solver_configs(self)["denoise"]
-        for gm in self.gammas or ():
+        for gm in self.gammas:
             replace(denoise_cfg, gamma=gm)  # rejects a negative or non-finite weight
 
-    def gamma_grid(self) -> list[float]:
-        if self.gammas is None:
-            return default_gamma_grid()
-        return [float(g) for g in self.gammas]
-
-
-def _solver_configs(spec: ExperimentSpec) -> dict:
-    """The FBP, ART, SIRT and denoiser settings a spec describes; building them validates them."""
-    return {
-        "fbp": FbpConfig(spec.fbp_filter, spec.fbp_interpolation),
-        "art": ArtConfig(spec.art_lam, spec.art_sweeps),
-        "sirt": SirtConfig(spec.sirt_lam, spec.sirt_iterations),
-        "denoise": DenoiseConfig(0.0, spec.denoise_epsilon, spec.denoise_max_iters),
-    }
+    @cached_property
+    def stages(self) -> dict:
+        """Geometry, patch, FBP, ART, SIRT and denoiser settings; the sweep sets the denoiser's gamma."""
+        return {
+            "geometry": Geometry(self.n, self.rays, self.num_angles, self.detector_span),
+            "patch": PatchConfig(self.patch_side, self.neighbors),
+            "fbp": FbpConfig(self.fbp_filter, self.fbp_interpolation),
+            "art": ArtConfig(self.art_lam, self.art_sweeps),
+            "sirt": SirtConfig(self.sirt_lam, self.sirt_iterations),
+            "denoise": DenoiseConfig(0.0, self.denoise_epsilon, self.denoise_max_iters),
+        }
 
 
 def _coerce(name: str, raw: str):
@@ -150,15 +151,14 @@ def parse_spec_file(path) -> dict:
 
 
 def reconstruct(method: str, sino: Sinogram, spec: ExperimentSpec, projector=None, tracker=None):
-    """Reconstruct with one method and the spec's settings for it.
+    """Reconstruct with one method and the spec's geometry and settings for it.
 
-    The image side and detector span come from the spec, the ray and angle
-    counts from the sinogram.  FBP builds no projector and returns
-    ``(Image, None)``; ART and SIRT build one unless ``projector`` is given,
-    pass ``tracker`` on and return ``(Image, ErrorCurve)``.
+    ``sino`` must have the spec's ray and angle counts.  FBP builds no
+    projector and returns ``(Image, None)``; ART and SIRT build one unless
+    ``projector`` is given, pass ``tracker`` on and return
+    ``(Image, ErrorCurve)``.
     """
-    geometry = Geometry(spec.n, sino.p, sino.q, spec.detector_span)
-    cfg = _solver_configs(spec)[method]
+    geometry, cfg = spec.stages["geometry"], spec.stages[method]
     if method == "fbp":
         return fbp(sino, geometry, cfg), None
     A = projector if projector is not None else build_projector(geometry)
@@ -168,31 +168,28 @@ def reconstruct(method: str, sino: Sinogram, spec: ExperimentSpec, projector=Non
 def run_experiment(spec: ExperimentSpec, projector=None) -> dict:
     """Execute the two-step pipeline and write artifacts to spec.output_dir.
 
-    Returns a summary record with per-method, per-branch errors, the chosen
-    gamma and the sweep scores, plus the list of files written.  The record
-    is deterministic for a fixed spec.  The output directory is created
+    A ``projector`` whose geometry equals the spec's is used, else one is
+    built.  Returns a summary record with per-method, per-branch errors, the
+    chosen gamma and the sweep scores, plus the list of files written.  The
+    record is deterministic for a fixed spec.  The output directory is created
     only once the sweep has run, so a spec the data cannot satisfy (a patch
     or neighbor count too large, FBP on one ray) leaves nothing behind.
     """
     truth = generate_phantom(spec.phantom, spec.n, spec.seed)
-    geometry = Geometry(spec.n, spec.rays, spec.num_angles, spec.detector_span)
-    A = projector if projector is not None and projector.geometry.key() == geometry.key() else None
-    if A is None:
-        A = build_projector(geometry)
+    geometry = spec.stages["geometry"]
+    A = projector if projector is not None and projector.geometry == geometry else build_projector(geometry)
 
     clean = forward_project(A, truth)
     noisy = add_noise(clean, NoiseSpec(spec.noise_level, spec.seed + 1))
 
-    pcfg = PatchConfig(spec.patch_side, spec.neighbors)
+    pcfg = spec.stages["patch"]
     graph = build_graph(extract_patches(noisy, pcfg), pcfg)
-
-    dcfg = _solver_configs(spec)["denoise"]
 
     def fbp_score(z):
         return l2_error(reconstruct("fbp", Sinogram(spec.rays, spec.num_angles, z), spec)[0], truth)
 
-    gammas = spec.gamma_grid()
-    best_gamma, best_z, scores = gamma_sweep(noisy.values, graph, gammas, fbp_score, dcfg)
+    gammas = [float(g) for g in spec.gammas]
+    best_gamma, best_z, scores = gamma_sweep(noisy.values, graph, gammas, fbp_score, spec.stages["denoise"])
     denoised = Sinogram(spec.rays, spec.num_angles, best_z)
 
     clean_norm = float(np.linalg.norm(clean.values))
@@ -217,11 +214,10 @@ def run_experiment(spec: ExperimentSpec, projector=None) -> dict:
 
     _save(write_csv, zip(gammas, scores), "gamma_scores.csv", ("gamma", "score"))
 
-    center = spec.n // 2
-    _save(write_profile_csv, profile(truth, center), "profile_truth.csv")
+    _save(write_profile_csv, profile(truth), "profile_truth.csv")
 
     branches = {"raw": noisy, "gd": denoised}
-    track = lambda xv: float(np.linalg.norm(xv - truth.pixels))  # noqa: E731
+    track = lambda xv: l2_error(xv, truth)  # noqa: E731
     rows = []
     results: dict = {}
     for method in spec.methods:
@@ -251,7 +247,7 @@ def run_experiment(spec: ExperimentSpec, projector=None) -> dict:
             _save(write_image_pgm, img, f"recon_{tag}.pgm")
             if curve.values.size > 1:
                 _save(write_curve_csv, curve.values, f"curve_{tag}.csv")
-            _save(write_profile_csv, profile(img, center), f"profile_{tag}.csv")
+            _save(write_profile_csv, profile(img), f"profile_{tag}.csv")
     _save(write_csv, [row.values() for row in rows], "summary.csv", rows[0].keys())
 
     with open(outdir / "summary.txt", "w") as fh:
@@ -310,6 +306,8 @@ def run_table1(
     seeds = [int(s) for s in seeds]
     if not seeds:
         raise ValueError("need at least one seed")
+    if len(set(seeds)) < len(seeds):
+        raise ValueError(f"each seed may be listed once, got {seeds}")
     base = base if base is not None else ExperimentSpec()
     # Every spec is built, and so checked, before any projector exists.
     row_specs = []
@@ -318,7 +316,7 @@ def run_table1(
         row = replace(base, phantom=phantom, noise_level=level, methods=("fbp", iter_method))
         rowdir = Path(output_dir) / f"{phantom}_rn{int(round(level * 100)):02d}"
         row_specs.append([replace(row, seed=seed, output_dir=str(rowdir / f"seed_{seed}")) for seed in seeds])
-    projector = build_projector(Geometry(base.n, base.rays, base.num_angles, base.detector_span))
+    projector = build_projector(base.stages["geometry"])
 
     rows = []
     for (phantom, _, iter_method), specs in zip(TABLE1_ROWS, row_specs):

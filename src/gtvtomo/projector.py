@@ -16,10 +16,12 @@ from functools import cached_property
 import numpy as np
 import scipy.sparse as sp
 
+from gtvtomo.phantoms import Image
+
 _CROSSING_TOL = 1e-12
 
 
-@dataclass(eq=False)
+@dataclass
 class Geometry:
     """Parallel-beam acquisition geometry.
 
@@ -58,9 +60,6 @@ class Geometry:
         if self.p == 1:
             return np.zeros(1)
         return (np.arange(self.p) - (self.p - 1) / 2.0) * (self.detector_span / (self.p - 1))
-
-    def key(self) -> tuple:
-        return (self.n, self.p, self.q, self.detector_span)
 
 
 @dataclass(eq=False)
@@ -210,10 +209,8 @@ def forward_project(A: ProjectionOperator, x) -> Sinogram:
     return Sinogram(g.p, g.q, A.matrix @ pixels)
 
 
-def back_project(A: ProjectionOperator, s) -> "Image":
+def back_project(A: ProjectionOperator, s) -> Image:
     """Apply the transpose: x = A^T b (unfiltered backprojection)."""
-    from gtvtomo.phantoms import Image
-
     values = s.values if hasattr(s, "values") else np.asarray(s, dtype=np.float64)
     if values.size != A.rows:
         raise ValueError(f"sinogram has {values.size} entries but operator expects {A.rows}")

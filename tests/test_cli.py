@@ -7,7 +7,11 @@ import pytest
 import gtvtomo.cli as cli
 from gtvtomo import ExperimentSpec, Sinogram
 from gtvtomo.cli import main
-from gtvtomo.pipeline import parse_spec_file
+from gtvtomo.gtv_denoise import DenoiseConfig
+from gtvtomo.patch_graph import PatchConfig
+from gtvtomo.pipeline import _coerce, parse_spec_file
+from gtvtomo.projector import Geometry
+from gtvtomo.recon import ArtConfig, FbpConfig, SirtConfig
 from gtvtomo.serialize import write_sinogram_raw
 
 # Option strings of every subcommand; the experiment flags are derived from
@@ -111,6 +115,18 @@ class TestSurface:
         assert by_flag == by_file
         assert by_flag != ExperimentSpec()
 
+    def test_each_stage_field_lands_in_its_setting(self):
+        spec = ExperimentSpec(**{name: _coerce(name, raw) for name, raw in FIELD_VALUES.items()})
+        assert spec.stages == {
+            "geometry": Geometry(n=32, p=47, q=18, detector_span=100.5),
+            "patch": PatchConfig(patch_side=5, k=6),
+            "fbp": FbpConfig(filter_name="cosine", interpolation="nearest"),
+            "art": ArtConfig(lam=0.5, sweeps=7),
+            "sirt": SirtConfig(lam=1.5, iterations=40),
+            "denoise": DenoiseConfig(gamma=0.0, epsilon=1e-5, max_iters=50),
+        }
+        assert spec.stages is spec.stages  # built once, not per access
+
 
 class TestSpecValueErrors:
     def test_spec_file_names_path_line_and_key(self, tmp_path, capsys):
@@ -205,6 +221,8 @@ class TestEarlyErrors:
             "neighbors = 0",
             "noise_level = -1",
             "detector_span = 15",
+            "methods = fbp, fbp",
+            "gammas = 0, 1, 0",
         ],
     )
     def test_bad_spec_creates_no_output_dir(self, tmp_path, line):
@@ -262,8 +280,9 @@ class TestEarlyErrors:
             (["--seeds", "1", "--noise-override", "nan"], "relative noise level must be >= 0, got nan"),
             (["--seeds", "1", "--noise-override", "inf"], "relative noise level must be >= 0, got inf"),
             (["--seeds", "1,-2"], "seed must be >= 0, got -2"),
+            (["--seeds", "1,1"], "each seed may be listed once, got [1, 1]"),
         ],
-        ids=["override-negative", "override-nan", "override-inf", "negative-seed"],
+        ids=["override-negative", "override-nan", "override-inf", "negative-seed", "repeated-seed"],
     )
     def test_bad_table1_rows_create_no_output_dir(self, tmp_path, capsys, extra, message):
         out = tmp_path / "t"

@@ -46,8 +46,8 @@ def read_table(path):
 class TestExperimentSpec:
     def test_defaults_valid(self):
         spec = ExperimentSpec()
-        assert spec.gamma_grid() == default_gamma_grid()
-        assert 0.0 in spec.gamma_grid()
+        assert spec.gammas == tuple(default_gamma_grid())
+        assert 0.0 in spec.gammas
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -83,6 +83,8 @@ class TestExperimentSpec:
             ("gammas", (0.1, -1.0), "gamma"),
             ("gammas", (float("inf"),), "gamma"),
             ("gammas", (0.0, float("nan")), "gamma"),
+            ("gammas", (0.5, 0.1, 0.5), "each gamma may be listed once"),
+            ("methods", ("fbp", "art", "fbp"), "each method may be listed once"),
         ]:
             with pytest.raises(ValueError, match=message):
                 ExperimentSpec(**{field: bad})
