@@ -46,6 +46,7 @@ _CHOICES = {
     "fbp_filter": FBP_FILTERS,
     "fbp_interpolation": FBP_INTERPOLATIONS,
 }
+_SIRT_LAM = {"help": "relaxation in units of 1/rho; (0, 2) converges"}
 
 
 def _spec_value(name):
@@ -146,6 +147,7 @@ def _add_reconstruct(sub):
          "sirt_lam", "sirt_iterations"),
         flags={"detector_span": "--span"},
         n={"required": True, "help": "output image side"},
+        sirt_lam=_SIRT_LAM,
     )
     p.add_argument("--truth", help="reference IMG for per-iteration error tracking")
     p.add_argument("--curve", help="write the error curve CSV (needs --truth)")
@@ -163,6 +165,7 @@ def _add_experiment(sub):
         flags={"output_dir": "--out-dir"},
         gammas={"help": "comma-separated weights (default: built-in sweep grid)"},
         methods={"help": "comma-separated subset of fbp,art,sirt"},
+        sirt_lam=_SIRT_LAM,
     )
     p.set_defaults(run=_cmd_experiment)
 

@@ -66,7 +66,7 @@ class ExperimentSpec:
     art_lam: float = 0.25
     art_sweeps: int = 100
     sirt_lam: float = 1.0
-    sirt_iterations: int = 500
+    sirt_iterations: int = 50
     fbp_filter: str = "ram-lak"
     fbp_interpolation: str = "linear"
     denoise_epsilon: float = 1e-6

@@ -15,6 +15,7 @@ from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse.linalg import LinearOperator, eigsh
 
 from gtvtomo.phantoms import Image
 
@@ -137,6 +138,27 @@ class ProjectionOperator:
         pairwise disjoint pixel supports.  Built on first use.
         """
         return _art_schedule(self.matrix, self.row_norms_sq, self.geometry.q)
+
+    @cached_property
+    def sirt_radius(self) -> float:
+        """Spectral radius of ``A^T diag(1/||a_i||^2) A`` over the nonzero rows: SIRT's step unit.
+
+        The top eigenvalue comes from ARPACK Lanczos (``eigsh``) at machine
+        precision, started from a seeded vector, so it is the same float for
+        every projector of one geometry.  A one-pixel image has the exact
+        value, the number of nonzero rows (0 if there are none).  Built on
+        first use.
+        """
+        active = np.flatnonzero(self.row_norms_sq > 0)
+        if self.cols == 1 or active.size == 0:
+            return float(active.size)
+        B = self.matrix[active]
+        B_t, inv_norms_sq = B.T, 1.0 / self.row_norms_sq[active]
+        normal = LinearOperator(
+            (self.cols, self.cols), matvec=lambda x: B_t @ (inv_norms_sq * (B @ x)), dtype=np.float64
+        )
+        v0 = np.random.default_rng(0x5EED).standard_normal(self.cols)
+        return float(eigsh(normal, k=1, v0=v0, return_eigenvectors=False)[0])
 
 
 def _art_schedule(matrix: sp.csr_matrix, norms_sq: np.ndarray, q: int) -> tuple[np.ndarray, np.ndarray]:

@@ -2,9 +2,12 @@
 
 All three consume the sparse :class:`~gtvtomo.projector.ProjectionOperator`
 and the vectorized sinogram.  ART and SIRT share one block row-projection
-step; a tracker callback gets the iterate after each ART sweep / SIRT
-iteration, and its returns form an :class:`~gtvtomo.metrics.ErrorCurve`, so
-ground truth never enters the solvers.
+step.  ART's relaxation scales each row projection and SIRT's is in units of
+``1/rho``, the inverse spectral radius of its summed projections (see
+:func:`sirt`), so both converge for relaxations in (0, 2).  A tracker
+callback gets the iterate after each ART sweep / SIRT iteration, and its
+returns form an :class:`~gtvtomo.metrics.ErrorCurve`, so ground truth never
+enters the solvers.
 """
 
 from __future__ import annotations
@@ -41,10 +44,13 @@ class ArtConfig:
 
 @dataclass(frozen=True)
 class SirtConfig:
-    """Cimmino parameters; all rows are weighted equally."""
+    """Cimmino parameters; all rows are weighted equally.
+
+    ``lam`` is in units of ``1/rho`` (see :func:`sirt`); (0, 2) converges.
+    """
 
     lam: float = 1.0
-    iterations: int = 200
+    iterations: int = 50
 
     def __post_init__(self):
         if not 0.0 < self.lam < np.inf:
@@ -172,14 +178,17 @@ def sirt(
     *,
     tracker=None,
 ) -> tuple[Image, ErrorCurve]:
-    """Cimmino: average the relaxed projections onto all row hyperplanes.
+    """Cimmino: a relaxed step along the sum of the projections onto all row hyperplanes.
 
-    ``x <- x + lam/m * A^T diag(1/||a_i||^2) (b - A x)`` with m the number of
-    nonzero rows; zero rows are excluded.  This is the shared projection
-    step with one block of all m nonzero rows and ``c = lam / m``.  Raises
-    :class:`DivergenceError` if the iterate norm passes 1e12.
+    ``x <- x + lam/rho * A^T diag(1/||a_i||^2) (b - A x)`` over the nonzero
+    rows (zero rows are excluded), with ``rho`` the spectral radius of
+    ``A^T diag(1/||a_i||^2) A`` (:attr:`~gtvtomo.projector.ProjectionOperator.sirt_radius`).
+    ``lam`` is thus in units of ``1/rho``, and (0, 2) converges.  This is the
+    shared projection step with one block of all nonzero rows and
+    ``c = lam / rho``.  Raises :class:`DivergenceError` if the iterate norm
+    passes 1e12.
     """
     active = np.flatnonzero(A.row_norms_sq > 0)
     if active.size == 0:
         raise ValueError("operator has no nonzero rows")
-    return _block_iterate(A, b, [(active, cfg.lam / active.size)], cfg.iterations, tracker)
+    return _block_iterate(A, b, [(active, cfg.lam / A.sirt_radius)], cfg.iterations, tracker)

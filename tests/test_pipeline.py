@@ -198,6 +198,14 @@ class TestRunExperiment:
             Path(spec_b.output_dir) / "summary.csv"
         ).read_bytes()
 
+    def test_default_sirt_budget_holds_the_minimum(self, tmp_path):
+        """At the default geometry and budget, both SIRT error curves turn up before the last iterate."""
+        spec = ExperimentSpec(
+            phantom="smooth", noise_level=0.05, methods=("fbp", "sirt"), seed=1, output_dir=str(tmp_path / "out")
+        )
+        for branch, rec in run_experiment(spec)["methods"]["sirt"].items():
+            assert rec["argmin_iteration"] < spec.sirt_iterations - 1, branch
+
     def test_denoised_branch_helps_at_desk_scale_seed(self, tmp_path):
         spec = small_spec(tmp_path, methods=("fbp",), gammas=(0.0, 0.5, 2.0))
         summary = run_experiment(spec)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from gtvtomo import (
@@ -144,6 +144,11 @@ class TestArt:
                 ArtConfig(lam=lam)
 
 
+def dense_sirt_radius(M, norms_sq):
+    """Largest eigenvalue of ``M^T diag(1/norms_sq) M`` for a dense matrix of nonzero rows."""
+    return float(np.linalg.eigvalsh(M.T @ (M / norms_sq[:, None])).max())
+
+
 @st.composite
 def art_problems(draw):
     """A small geometry, data and relaxation; wide spans leave zero rows."""
@@ -214,11 +219,11 @@ class TestSirtOracle:
                 sirt(A, b, cfg)
             return
         M, b_kept, norms_sq = M[keep], b[keep], norms_sq[keep]
-        m = M.shape[0]
+        rho = dense_sirt_radius(M, norms_sq)
         x = np.zeros(A.cols)
         expected = []
         for _ in range(cfg.iterations):
-            x = x + lam / m * (M.T @ ((b_kept - M @ x) / norms_sq))
+            x = x + lam / rho * (M.T @ ((b_kept - M @ x) / norms_sq))
             expected.append(x)
         seen = []
         img, curve = sirt(A, b, cfg, tracker=seen.append)
@@ -239,6 +244,53 @@ class TestSirtOracle:
         img, curve = art(A, np.ones(4), ArtConfig(lam=1.0, sweeps=3), tracker=lambda xv: (calls.append(1), 0.5)[1])
         assert np.all(img.pixels == 0.0)
         assert len(calls) == 3 and curve.values.size == 3
+
+
+class TestSirtRadius:
+    """``sirt_radius`` is the dense spectral radius, cached, and reproducible."""
+
+    @settings(max_examples=60, deadline=None, database=None)
+    @given(art_problems())
+    @example((Geometry(1, 3, 2), 0, 1.0))  # one pixel: one column
+    @example((Geometry(5, 13, 4, detector_span=15.0), 3, 1.5))  # zero rows past the diagonal
+    @example((Geometry(4, 2, 3, detector_span=12.0), 4, 0.5))  # both rays miss: no nonzero rows
+    def test_matches_dense_eigenvalue(self, problem):
+        g, _, _ = problem
+        A = build_projector(g)
+        assert "sirt_radius" not in A.__dict__  # built on first use, not with the projector
+        M = A.matrix.toarray()
+        norms_sq = np.einsum("ij,ij->i", M, M)
+        keep = norms_sq > 0
+        want = dense_sirt_radius(M[keep], norms_sq[keep]) if keep.any() else 0.0
+        rho = A.sirt_radius
+        assert type(rho) is float
+        np.testing.assert_allclose(rho, want, rtol=1e-12, atol=0.0)
+        assert A.sirt_radius is rho
+        assert np.float64(build_projector(g).sirt_radius).tobytes() == np.float64(rho).tobytes()
+
+    def test_art_leaves_it_unbuilt(self):
+        A = build_projector(Geometry(8, 11, 6))
+        art(A, np.ones(A.rows), ArtConfig(lam=1.0, sweeps=2))
+        assert "sirt_radius" not in A.__dict__
+
+    @settings(max_examples=60, deadline=None, database=None)
+    @given(art_problems())
+    @example((Geometry(1, 3, 2), 0, 1.95))
+    @example((Geometry(5, 13, 4, detector_span=15.0), 3, 1.95))
+    @example((Geometry(8, 11, 6), 5, 0.05))
+    def test_weighted_residual_never_increases(self, problem):
+        """Landweber on ``diag(1/||a_i||) A`` with step ``lam/rho`` in (0, 2/rho)."""
+        g, seed, lam = problem
+        A = build_projector(g)
+        keep = A.row_norms_sq > 0
+        assume(keep.any())
+        rng = np.random.default_rng(seed)
+        b = A.matrix @ rng.random(A.cols) + 0.1 * rng.standard_normal(A.rows)
+        scale = 1.0 / np.sqrt(A.row_norms_sq[keep])
+        residual = lambda xv: float(np.linalg.norm(scale * (b - A.matrix @ xv)[keep]))  # noqa: E731
+        res = [residual(np.zeros(A.cols))]
+        sirt(A, b, SirtConfig(lam=lam, iterations=20), tracker=lambda xv: res.append(residual(xv)))
+        assert np.all(np.diff(res) <= 1e-12 * res[0])
 
 
 class TestSirt:
