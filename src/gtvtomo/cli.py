@@ -46,7 +46,7 @@ _CHOICES = {
     "fbp_filter": FBP_FILTERS,
     "fbp_interpolation": FBP_INTERPOLATIONS,
 }
-_SIRT_LAM = {"help": "relaxation in units of 1/rho; (0, 2) converges"}
+_SIRT_LAM = {"help": "relaxation in units of 1/rho, in (0, 2)"}
 
 
 def _spec_value(name):

@@ -41,13 +41,9 @@ def relative_l2_error(x, x_true) -> float:
     return l2_error(x, x_true) / ref
 
 
-def profile(x, row: int | None = None) -> np.ndarray:
-    """A copy of image row ``row`` (default: center row), for line plots across reconstructions."""
-    if row is None:
-        row = x.n // 2
-    if row < 0 or row >= x.n:
-        raise ValueError(f"row {row} out of range for side {x.n}")
-    return x.grid[row].copy()
+def profile(x) -> np.ndarray:
+    """A copy of the image's center row ``n // 2``, for line plots across reconstructions."""
+    return x.grid[x.n // 2].copy()
 
 
 def min_error(curve: ErrorCurve) -> tuple[int, float]:

@@ -28,10 +28,8 @@ class NoiseSpec:
 
 def add_noise(s: Sinogram, spec: NoiseSpec) -> Sinogram:
     """Return ``s`` plus zero-mean Gaussian noise at the given relative level."""
-    if spec.relative_level == 0.0:
-        return Sinogram(s.p, s.q, s.values.copy())
     s_norm = np.linalg.norm(s.values)
-    if s_norm == 0.0:
+    if spec.relative_level == 0.0 or s_norm == 0.0:
         return Sinogram(s.p, s.q, s.values.copy())
     g = np.random.default_rng(spec.seed).standard_normal(s.values.size)
     e = spec.relative_level * (s_norm / np.linalg.norm(g)) * g

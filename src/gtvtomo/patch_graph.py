@@ -17,6 +17,7 @@ simply rescales any regularization weight multiplying it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -48,7 +49,7 @@ class PatchGraph:
 
     Edges are stored once with ``edge_i < edge_j``, sorted lexicographically.
     ``incidence`` is the gradient ``D`` (CSR), ``degree[i]`` the sum of
-    incident edge weights and ``tau`` caches ``||D||_2`` once computed.
+    incident edge weights and :attr:`tau` is ``||D||_2``, built on first use.
     """
 
     node_count: int
@@ -56,7 +57,6 @@ class PatchGraph:
     edge_j: np.ndarray = field(repr=False)
     weights: np.ndarray = field(repr=False)
     sigma: float = 1.0
-    tau: float | None = field(default=None, init=False)
 
     def __post_init__(self):
         self.edge_i = np.ascontiguousarray(self.edge_i, dtype=np.int64)
@@ -83,6 +83,23 @@ class PatchGraph:
     @property
     def edge_count(self) -> int:
         return self.edge_i.size
+
+    @cached_property
+    def tau(self) -> float:
+        """Largest singular value ``||D||_2`` of the gradient operator, built on first use.
+
+        The top eigenvalue of ``D^T D`` comes from ARPACK's implicitly
+        restarted Lanczos (``eigsh``) at machine precision, started from a
+        seeded normal vector (the constant vector lies in the null space of
+        ``D``); ``tau`` is its square root.  A graph with no edge of positive
+        weight has a zero operator and is rejected.
+        """
+        if not np.any(self.weights > 0):
+            raise ValueError("spectral norm needs at least one edge of positive weight")
+        D = self.incidence
+        v0 = np.random.default_rng(0x5EED).standard_normal(self.node_count)
+        lam = eigsh(D.T @ D, k=1, v0=v0, return_eigenvectors=False)[0]
+        return float(np.sqrt(lam))
 
 
 def graph_from_edges(node_count: int, edges) -> PatchGraph:
@@ -198,20 +215,5 @@ def graph_divergence(g: PatchGraph, u: np.ndarray) -> np.ndarray:
 
 
 def spectral_norm(g: PatchGraph) -> float:
-    """Largest singular value ``||D||_2`` of the gradient operator.
-
-    The top eigenvalue of ``D^T D`` comes from ARPACK's implicitly restarted
-    Lanczos (``eigsh``) at machine precision, started from a seeded normal
-    vector (the constant vector lies in the null space of ``D``); its square
-    root is cached on ``g.tau``.  A graph with no edge of positive weight has
-    a zero operator and is rejected.
-    """
-    if g.tau is not None:
-        return g.tau
-    if not np.any(g.weights > 0):
-        raise ValueError("spectral norm needs at least one edge of positive weight")
-    D = g.incidence
-    v0 = np.random.default_rng(0x5EED).standard_normal(g.node_count)
-    lam = eigsh(D.T @ D, k=1, v0=v0, return_eigenvectors=False)[0]
-    g.tau = float(np.sqrt(lam))
+    """Largest singular value ``||D||_2`` of the gradient operator: :attr:`PatchGraph.tau`."""
     return g.tau

@@ -41,6 +41,16 @@ SMOOTH_BUMPS = (
 )
 
 
+def flat_finite(values, size: int, owner: str, name: str) -> np.ndarray:
+    """``values`` as a contiguous float64 vector of ``size`` finite entries, else ValueError."""
+    values = np.ascontiguousarray(values, dtype=np.float64)
+    if values.ndim != 1 or values.size != size:
+        raise ValueError(f"{name} must be a flat vector of length {size}, got shape {values.shape}")
+    if not np.all(np.isfinite(values)):
+        raise ValueError(f"{owner} {name} must be finite")
+    return values
+
+
 @dataclass(eq=False)
 class Image:
     """n-by-n grayscale raster stored as a flat row-major float64 vector."""
@@ -51,14 +61,7 @@ class Image:
     def __post_init__(self):
         if self.n < 1:
             raise ValueError(f"image side must be positive, got {self.n}")
-        self.pixels = np.ascontiguousarray(self.pixels, dtype=np.float64)
-        if self.pixels.ndim != 1 or self.pixels.size != self.n * self.n:
-            raise ValueError(
-                f"pixels must be a flat vector of length {self.n * self.n}, "
-                f"got shape {self.pixels.shape}"
-            )
-        if not np.all(np.isfinite(self.pixels)):
-            raise ValueError("image pixels must be finite")
+        self.pixels = flat_finite(self.pixels, self.n * self.n, "image", "pixels")
 
     @classmethod
     def from_grid(cls, grid: np.ndarray) -> "Image":
@@ -108,28 +111,17 @@ def generate_phantom(kind: str, n: int, seed: int = 0) -> Image:
         grid = _fourphases(n, seed)
     else:
         raise ValueError(f"unknown phantom kind {kind!r}; expected one of {PHANTOM_KINDS}")
-    return Image.from_grid(_rescale_unit(grid))
+    lo, hi = grid.min(), grid.max()
+    scaled = (grid - lo) / (hi - lo) if hi > lo else np.zeros_like(grid)
+    return Image.from_grid(scaled)
 
 
-def _rescale_unit(grid: np.ndarray) -> np.ndarray:
-    lo = grid.min()
-    hi = grid.max()
-    if hi > lo:
-        return (grid - lo) / (hi - lo)
-    return np.zeros_like(grid)
-
-
-def _unit_axes(n: int) -> tuple[np.ndarray, np.ndarray]:
+def _shepp_logan(n: int) -> np.ndarray:
     # Cell-center coordinates in [-1, 1]; row 0 sits at the top (y near +1).
     # Centers of 2x2 blocks at side 2n coincide with centers at side n, so
     # resolutions nest exactly.
     x = (2.0 * np.arange(n) + 1.0 - n) / n
     y = (n - 1.0 - 2.0 * np.arange(n)) / n
-    return x, y
-
-
-def _shepp_logan(n: int) -> np.ndarray:
-    x, y = _unit_axes(n)
     X, Y = np.meshgrid(x, y)
     grid = np.zeros((n, n))
     for amp, a, b, x0, y0, deg in _SHEPP_LOGAN_ELLIPSES:

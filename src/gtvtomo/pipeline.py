@@ -28,7 +28,6 @@ from gtvtomo.phantoms import PHANTOM_KINDS, generate_phantom
 from gtvtomo.projector import Geometry, Sinogram, build_projector, forward_project
 from gtvtomo.recon import ArtConfig, FbpConfig, SirtConfig, art, fbp, sirt
 from gtvtomo.serialize import (
-    ensure_dir,
     write_csv,
     write_curve_csv,
     write_image_pgm,
@@ -50,6 +49,7 @@ def default_gamma_grid() -> list[float]:
 class ExperimentSpec:
     """Everything one pipeline run needs; defaults match the desk-scale setup.
 
+    Each stage setting defaults to its config class's default, and
     :attr:`stages` holds the settings of each stage, built and so checked with the spec.
     """
 
@@ -57,20 +57,20 @@ class ExperimentSpec:
     n: int = 64
     rays: int = 95
     num_angles: int = 36
-    detector_span: float | None = None
+    detector_span: float | None = Geometry.detector_span
     noise_level: float = 0.08
-    patch_side: int = 3
-    neighbors: int = 10
+    patch_side: int = PatchConfig.patch_side
+    neighbors: int = PatchConfig.k
     gammas: tuple[float, ...] = tuple(default_gamma_grid())
     methods: tuple[str, ...] = ("fbp", "art")
-    art_lam: float = 0.25
-    art_sweeps: int = 100
-    sirt_lam: float = 1.0
-    sirt_iterations: int = 50
-    fbp_filter: str = "ram-lak"
-    fbp_interpolation: str = "linear"
-    denoise_epsilon: float = 1e-6
-    denoise_max_iters: int = 500
+    art_lam: float = ArtConfig.lam
+    art_sweeps: int = ArtConfig.sweeps
+    sirt_lam: float = SirtConfig.lam
+    sirt_iterations: int = SirtConfig.iterations
+    fbp_filter: str = FbpConfig.filter_name
+    fbp_interpolation: str = FbpConfig.interpolation
+    denoise_epsilon: float = DenoiseConfig.epsilon
+    denoise_max_iters: int = DenoiseConfig.max_iters
     seed: int = 1
     output_dir: str = "out"
 
@@ -133,8 +133,9 @@ def _coerce(name: str, raw: str):
 
 
 def parse_spec_file(path) -> dict:
-    """Read a flat ``key = value`` spec file (blank lines and # comments ok)."""
+    """Read a flat ``key = value`` spec file (blank lines and # comments ok; each key once)."""
     values: dict = {}
+    lines: dict = {}  # the line each key was set on
     with open(path) as fh:
         for lineno, line in enumerate(fh, 1):
             stripped = line.strip()
@@ -142,9 +143,12 @@ def parse_spec_file(path) -> dict:
                 continue
             if "=" not in stripped:
                 raise ValueError(f"{path}:{lineno}: expected 'key = value', got {stripped!r}")
-            key, raw = stripped.split("=", 1)
+            key, raw = (part.strip() for part in stripped.split("=", 1))
+            if key in lines:
+                raise ValueError(f"{path}:{lineno}: {key} is already set on line {lines[key]}")
+            lines[key] = lineno
             try:
-                values[key.strip()] = _coerce(key.strip(), raw)
+                values[key] = _coerce(key, raw)
             except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: {exc}") from None
     return values
@@ -169,11 +173,12 @@ def run_experiment(spec: ExperimentSpec, projector=None) -> dict:
     """Execute the two-step pipeline and write artifacts to spec.output_dir.
 
     A ``projector`` whose geometry equals the spec's is used, else one is
-    built.  Returns a summary record with per-method, per-branch errors, the
-    chosen gamma and the sweep scores, plus the list of files written.  The
-    record is deterministic for a fixed spec.  The output directory is created
-    only once the sweep has run, so a spec the data cannot satisfy (a patch
-    or neighbor count too large, FBP on one ray) leaves nothing behind.
+    built.  Returns a summary record with the chosen gamma, the sweep scores,
+    the list of files written and, as ``methods[method][branch]``, that
+    branch's row of ``summary.csv``.  The record is deterministic for a fixed
+    spec.  The output directory is created only once the sweep has run, so a
+    spec the data cannot satisfy (a patch or neighbor count too large, FBP on
+    one ray) leaves nothing behind.
     """
     truth = generate_phantom(spec.phantom, spec.n, spec.seed)
     geometry = spec.stages["geometry"]
@@ -198,7 +203,8 @@ def run_experiment(spec: ExperimentSpec, projector=None) -> dict:
         for s in (noisy, denoised)
     )
 
-    outdir = ensure_dir(spec.output_dir)
+    outdir = Path(spec.output_dir)
+    outdir.mkdir(parents=True, exist_ok=True)
     artifacts: list[str] = []
 
     def _save(writer, obj, name, *args):
@@ -218,7 +224,6 @@ def run_experiment(spec: ExperimentSpec, projector=None) -> dict:
 
     branches = {"raw": noisy, "gd": denoised}
     track = lambda xv: l2_error(xv, truth)  # noqa: E731
-    rows = []
     results: dict = {}
     for method in spec.methods:
         for branch, sino in branches.items():
@@ -238,16 +243,14 @@ def run_experiment(spec: ExperimentSpec, projector=None) -> dict:
                 "min_error": best,
                 "argmin_iteration": arg,
             }
-            rows.append(row)
-            results.setdefault(method, {})[branch] = {
-                k: row[k] for k in ("final_error", "min_error", "argmin_iteration")
-            } | {"curve": curve}
+            results.setdefault(method, {})[branch] = row
             tag = f"{method}_{branch}"
             _save(write_image_raw, img, f"recon_{tag}.img")
             _save(write_image_pgm, img, f"recon_{tag}.pgm")
             if curve.values.size > 1:
                 _save(write_curve_csv, curve.values, f"curve_{tag}.csv")
             _save(write_profile_csv, profile(img), f"profile_{tag}.csv")
+    rows = [row for by_branch in results.values() for row in by_branch.values()]
     _save(write_csv, [row.values() for row in rows], "summary.csv", rows[0].keys())
 
     with open(outdir / "summary.txt", "w") as fh:
@@ -327,8 +330,9 @@ def run_table1(
         }
         rows.append(dict(phantom=phantom, noise_level=specs[0].noise_level, iter_method=iter_method, cells=cells))
 
-    outdir = ensure_dir(output_dir)
-    table_csv = Path(outdir) / "table1.csv"
+    outdir = Path(output_dir)
+    outdir.mkdir(parents=True, exist_ok=True)
+    table_csv = outdir / "table1.csv"
     write_csv(
         (
             (row["phantom"], float(row["noise_level"]), m, br, cell["mean"], cell["std"], len(seeds))
@@ -340,7 +344,7 @@ def run_table1(
         ("phantom", "noise_level", "method", "branch", "mean_min_error", "std_min_error", "seeds"),
     )
 
-    table_txt = Path(outdir) / "table1.txt"
+    table_txt = outdir / "table1.txt"
     with open(table_txt, "w") as fh:
         fh.write("Raw vs graph-denoised (GD) reconstruction, min l2 error over iterations\n")
         fh.write(f"mean over seeds {seeds} (std in parentheses)\n\n")

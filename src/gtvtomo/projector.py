@@ -17,7 +17,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import LinearOperator, eigsh
 
-from gtvtomo.phantoms import Image
+from gtvtomo.phantoms import Image, flat_finite
 
 _CROSSING_TOL = 1e-12
 
@@ -78,14 +78,7 @@ class Sinogram:
     def __post_init__(self):
         if self.p < 1 or self.q < 1:
             raise ValueError(f"invalid sinogram shape p={self.p}, q={self.q}")
-        self.values = np.ascontiguousarray(self.values, dtype=np.float64)
-        if self.values.ndim != 1 or self.values.size != self.p * self.q:
-            raise ValueError(
-                f"values must be a flat vector of length {self.p * self.q}, "
-                f"got shape {self.values.shape}"
-            )
-        if not np.all(np.isfinite(self.values)):
-            raise ValueError("sinogram values must be finite")
+        self.values = flat_finite(self.values, self.p * self.q, "sinogram", "values")
 
     @classmethod
     def from_grid(cls, grid: np.ndarray) -> "Sinogram":
@@ -134,10 +127,24 @@ class ProjectionOperator:
     def art_schedule(self) -> tuple[np.ndarray, np.ndarray]:
         """``(rows, bounds)``: the nonzero rows in Kaczmarz order, grouped into levels.
 
-        Level ``j`` is ``rows[bounds[j]:bounds[j + 1]]``; its rows have
-        pairwise disjoint pixel supports.  Built on first use.
+        The order is angle-major, even rays before odd.  A row's level is one
+        more than the highest level of the earlier rows sharing a pixel with it,
+        so level ``j``, ``rows[bounds[j]:bounds[j + 1]]``, has rows of disjoint
+        pixel supports that commute, and the levels in ascending order apply
+        the rows exactly as that order does.  Built on first use.
         """
-        return _art_schedule(self.matrix, self.row_norms_sq, self.geometry.q)
+        active = np.flatnonzero(self.row_norms_sq > 0)
+        ray, angle = active // self.geometry.q, active % self.geometry.q
+        order = active[np.lexsort((ray, ray % 2, angle))]
+        indptr, indices = self.matrix.indptr, self.matrix.indices
+        last = np.zeros(self.cols, dtype=np.int64)  # highest level seen at each pixel
+        levels = np.empty(order.size, dtype=np.int64)
+        for pos, i in enumerate(order):
+            cols = indices[indptr[i] : indptr[i + 1]]
+            levels[pos] = last[cols].max() + 1
+            last[cols] = levels[pos]
+        bounds = np.concatenate(([0], np.cumsum(np.bincount(levels)[1:])))
+        return order[np.argsort(levels, kind="stable")], bounds
 
     @cached_property
     def sirt_radius(self) -> float:
@@ -159,27 +166,6 @@ class ProjectionOperator:
         )
         v0 = np.random.default_rng(0x5EED).standard_normal(self.cols)
         return float(eigsh(normal, k=1, v0=v0, return_eigenvectors=False)[0])
-
-
-def _art_schedule(matrix: sp.csr_matrix, norms_sq: np.ndarray, q: int) -> tuple[np.ndarray, np.ndarray]:
-    """Angle-major order with even rays before odd, then level-scheduled.
-
-    A row's level is one more than the highest level of the earlier rows
-    sharing a pixel with it, so rows of one level commute and the levels in
-    ascending order apply the rows exactly as that order does.
-    """
-    active = np.flatnonzero(norms_sq > 0)
-    ray, angle = active // q, active % q
-    order = active[np.lexsort((ray, ray % 2, angle))]
-    indptr, indices = matrix.indptr, matrix.indices
-    last = np.zeros(matrix.shape[1], dtype=np.int64)  # highest level seen at each pixel
-    levels = np.empty(order.size, dtype=np.int64)
-    for pos, i in enumerate(order):
-        cols = indices[indptr[i] : indptr[i + 1]]
-        levels[pos] = last[cols].max() + 1
-        last[cols] = levels[pos]
-    bounds = np.concatenate(([0], np.cumsum(np.bincount(levels)[1:])))
-    return order[np.argsort(levels, kind="stable")], bounds
 
 
 def build_projector(geometry: Geometry) -> ProjectionOperator:

@@ -46,15 +46,16 @@ class ArtConfig:
 class SirtConfig:
     """Cimmino parameters; all rows are weighted equally.
 
-    ``lam`` is in units of ``1/rho`` (see :func:`sirt`); (0, 2) converges.
+    ``lam`` is in units of ``1/rho`` (see :func:`sirt`) and must lie in (0, 2),
+    where the iteration converges.
     """
 
     lam: float = 1.0
     iterations: int = 50
 
     def __post_init__(self):
-        if not 0.0 < self.lam < np.inf:
-            raise ValueError(f"SIRT relaxation lam must be positive and finite, got {self.lam}")
+        if not 0.0 < self.lam < 2.0:
+            raise ValueError(f"SIRT relaxation lam must be in (0, 2), got {self.lam}")
         if self.iterations < 1:
             raise ValueError(f"iterations must be >= 1, got {self.iterations}")
 
@@ -69,10 +70,6 @@ class FbpConfig:
             raise ValueError(f"filter must be one of {FBP_FILTERS}")
         if self.interpolation not in FBP_INTERPOLATIONS:
             raise ValueError(f"interpolation must be one of {FBP_INTERPOLATIONS}")
-
-
-def _next_pow2(x: int) -> int:
-    return 1 << (max(1, x - 1)).bit_length()
 
 
 def fbp(s: Sinogram, geometry: Geometry, cfg: FbpConfig = FbpConfig()) -> Image:
@@ -93,7 +90,7 @@ def fbp(s: Sinogram, geometry: Geometry, cfg: FbpConfig = FbpConfig()) -> Image:
     offsets = geometry.offsets
     dt = offsets[1] - offsets[0]
 
-    npad = _next_pow2(2 * p)
+    npad = 1 << (2 * p - 1).bit_length()  # the next power of two >= 2p
     padded = np.zeros((npad, q))
     padded[:p] = s.grid
     freqs = np.fft.fftfreq(npad, d=dt)

@@ -9,7 +9,6 @@ CSV but the headerless sinogram view goes through :func:`write_csv`.
 from __future__ import annotations
 
 import csv
-from pathlib import Path
 
 import numpy as np
 
@@ -18,9 +17,14 @@ from gtvtomo.projector import Sinogram
 
 
 def write_image_raw(img: Image, path) -> None:
+    _write_raw(path, f"IMG {img.n}", img.pixels)
+
+
+def _write_raw(path, header: str, values: np.ndarray) -> None:
+    """Header line ``magic d1 .. dk``, then the values as little-endian float64."""
     with open(path, "wb") as fh:
-        fh.write(f"IMG {img.n}\n".encode("ascii"))
-        fh.write(img.pixels.astype("<f8").tobytes())
+        fh.write(f"{header}\n".encode("ascii"))
+        fh.write(values.astype("<f8").tobytes())
 
 
 def _read_raw(path, magic: str, ndims: int) -> tuple[list[int], np.ndarray]:
@@ -48,9 +52,7 @@ def read_image_raw(path) -> Image:
 
 
 def write_sinogram_raw(s: Sinogram, path) -> None:
-    with open(path, "wb") as fh:
-        fh.write(f"SINO {s.p} {s.q}\n".encode("ascii"))
-        fh.write(s.values.astype("<f8").tobytes())
+    _write_raw(path, f"SINO {s.p} {s.q}", s.values)
 
 
 def read_sinogram_raw(path) -> Sinogram:
@@ -114,9 +116,3 @@ def read_profile_csv(path) -> np.ndarray:
 
 def write_graph_edges_csv(g, path) -> None:
     write_csv(zip(g.edge_i.tolist(), g.edge_j.tolist(), g.weights.tolist()), path, ("i", "j", "weight"))
-
-
-def ensure_dir(path) -> Path:
-    p = Path(path)
-    p.mkdir(parents=True, exist_ok=True)
-    return p

@@ -217,6 +217,9 @@ class TestEarlyErrors:
         [
             "art_lam = 2",
             "sirt_lam = -1",
+            "sirt_lam = 2",
+            "sirt_lam = 2.5",
+            "n = 32",  # n is already set on line 1
             "patch_side = 4",
             "neighbors = 0",
             "noise_level = -1",
@@ -230,6 +233,19 @@ class TestEarlyErrors:
         path = tmp_path / "exp.spec"
         path.write_text(f"n = 16\nrays = 23\nnum_angles = 10\noutput_dir = {out}\n{line}\n")
         assert main(["experiment", "--spec", str(path)]) == 2
+        assert not out.exists()
+
+    def test_sirt_relaxation_past_two_writes_nothing(self, tmp_path, capsys, image):
+        out_dir = tmp_path / "never"
+        assert main(["experiment", "--sirt-lam", "2.5", "--methods", "sirt", "--out-dir", str(out_dir)]) == 2
+        assert "SIRT relaxation lam must be in (0, 2), got 2.5" in capsys.readouterr().err
+        assert not out_dir.exists()
+        sino, out = tmp_path / "s.sino", tmp_path / "r.img"
+        assert main(["project", "--image", str(image), "--rays", "23", "--num-angles", "10",
+                     "--out", str(sino)]) == 0
+        assert main(["reconstruct", "--sino", str(sino), "--n", "16", "--method", "sirt",
+                     "--sirt-lam", "2.5", "--out", str(out)]) == 2
+        assert "SIRT relaxation lam must be in (0, 2), got 2.5" in capsys.readouterr().err
         assert not out.exists()
 
     def test_truth_of_the_wrong_size(self, tmp_path, capsys, image):

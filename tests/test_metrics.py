@@ -49,29 +49,28 @@ class TestL2Error:
 
 class TestProfile:
     def test_constant_image(self):
-        np.testing.assert_array_equal(profile(Image(5, np.full(25, 2.5)), 3), np.full(5, 2.5))
+        np.testing.assert_array_equal(profile(Image(5, np.full(25, 2.5))), np.full(5, 2.5))
 
     def test_shepp_logan_symmetric_row(self, shepp64):
         # the classic ellipse table pairs the two off-center ventricles with
         # different semi-axes, so rows crossing them are not mirror images;
         # row 16 (y ~ 0.49) crosses only centered ellipses and is symmetric
-        values = profile(shepp64, 16)
+        values = shepp64.grid[16]
         np.testing.assert_allclose(values, values[::-1], atol=1e-9)
 
     def test_shepp_logan_center_row_asymmetry_is_real(self, shepp64):
-        values = profile(shepp64, 32)
+        values = profile(shepp64)
+        np.testing.assert_array_equal(values, shepp64.grid[32])
         assert np.abs(values - values[::-1]).max() > 0.1
 
     def test_matches_direct_indexing(self):
         rng = np.random.default_rng(2)
-        img = Image(6, rng.random(36))
-        np.testing.assert_array_equal(profile(img, 4), img.grid[4])
-
-    def test_out_of_range(self):
-        img = Image(4, np.zeros(16))
-        for row in (-1, 4):
-            with pytest.raises(ValueError):
-                profile(img, row)
+        for n in (5, 6):
+            img = Image(n, rng.random(n * n))
+            values = profile(img)
+            np.testing.assert_array_equal(values, img.grid[n // 2])
+            values[:] = -1.0  # a copy, not a view of the image
+            assert np.all(img.pixels >= 0)
 
 
 class TestMinError:

@@ -75,6 +75,8 @@ class TestExperimentSpec:
             ("art_sweeps", 0, "sweeps"),
             ("sirt_lam", -1.0, "lam"),
             ("sirt_lam", float("nan"), "lam"),
+            ("sirt_lam", 2.0, "lam"),
+            ("sirt_lam", 2.5, "lam"),
             ("sirt_iterations", 0, "iterations"),
             ("fbp_filter", "hann", "filter"),
             ("fbp_interpolation", "cubic", "interpolation"),
@@ -126,6 +128,12 @@ class TestSpecFile:
         with pytest.raises(ValueError):
             parse_spec_file(path)
 
+    def test_key_given_twice_names_both_lines(self, tmp_path):
+        path = tmp_path / "twice.spec"
+        path.write_text("n = 64\n# the same key again\n n =32\n")
+        with pytest.raises(ValueError, match=r"twice\.spec:3: n is already set on line 1"):
+            parse_spec_file(path)
+
 
 class TestRunExperiment:
     def test_degenerate_pipeline_identical_branches(self, tmp_path):
@@ -174,6 +182,7 @@ class TestRunExperiment:
         ]
         for r in rows:
             rec = summary["methods"][r["method"]][r["branch"]]
+            assert list(rec) == header  # the returned record holds the summary.csv row
             assert (r["phantom"], r["n"], r["seed"]) == (spec.phantom, str(spec.n), str(spec.seed))
             assert float(r["noise_level"]) == spec.noise_level
             assert float(r["best_gamma"]) == summary["best_gamma"]
