@@ -38,7 +38,6 @@ from gtvtomo.metrics import (
     l2_error,
     min_error,
     profile,
-    relative_l2_error,
 )
 from gtvtomo.recon import (
     ArtConfig,
@@ -88,7 +87,6 @@ __all__ = [
     "min_error",
     "objective",
     "profile",
-    "relative_l2_error",
     "run_experiment",
     "run_table1",
     "sirt",

@@ -95,7 +95,7 @@ def denoise(b: np.ndarray, g: PatchGraph, cfg: DenoiseConfig) -> tuple[np.ndarra
         f = float(resid @ resid) + cfg.gamma * float(np.abs(grad_x).sum())
         trace.objective.append(f)
         # f_prev is never 0 here: a zero objective has already stopped the loop.
-        if f == 0.0 or (f_prev is not None and (f - f_prev) ** 2 / f_prev**2 < cfg.epsilon):
+        if f == 0.0 or (f_prev is not None and ((f - f_prev) / f_prev) ** 2 < cfg.epsilon):
             trace.converged = True
             break
         f_prev = f

@@ -32,15 +32,6 @@ def l2_error(x, x_true) -> float:
     return float(np.linalg.norm(a - b))
 
 
-def relative_l2_error(x, x_true) -> float:
-    """l2 error divided by the norm of the reference."""
-    b = x_true.pixels if hasattr(x_true, "pixels") else np.asarray(x_true, dtype=np.float64)
-    ref = float(np.linalg.norm(b))
-    if ref == 0.0:
-        raise ValueError("reference has zero norm")
-    return l2_error(x, x_true) / ref
-
-
 def profile(x) -> np.ndarray:
     """A copy of the image's center row ``n // 2``, for line plots across reconstructions."""
     return x.grid[x.n // 2].copy()

@@ -102,7 +102,7 @@ def generate_phantom(kind: str, n: int, seed: int = 0) -> Image:
     if kind == "shepp-logan":
         grid = _shepp_logan(n)
     elif kind == "smooth":
-        grid = _smooth(n)
+        grid = _bump_sum(n, SMOOTH_BUMPS)
     elif kind == "binary":
         grid = _binary(n, seed)
     elif kind == "grains":
@@ -137,13 +137,13 @@ def _shepp_logan(n: int) -> np.ndarray:
     return grid
 
 
-def _smooth(n: int) -> np.ndarray:
-    # Sum of the fixed bumps evaluated at pixel centers (u, v) in [0, 1]^2,
-    # u along columns and v along rows from the top.
+def _bump_sum(n: int, bumps) -> np.ndarray:
+    # Sum of Gaussian bumps (amp, cx, cy, wx, wy) evaluated at pixel centers
+    # (u, v) in [0, 1]^2, u along columns and v along rows from the top.
     u = (np.arange(n) + 0.5) / n
     U, V = np.meshgrid(u, u)
     grid = np.zeros((n, n))
-    for amp, cx, cy, wx, wy in SMOOTH_BUMPS:
+    for amp, cx, cy, wx, wy in bumps:
         grid += amp * np.exp(
             -((U - cx) ** 2) / (2.0 * wx**2) - ((V - cy) ** 2) / (2.0 * wy**2)
         )
@@ -152,15 +152,13 @@ def _smooth(n: int) -> np.ndarray:
 
 def _binary(n: int, seed: int) -> np.ndarray:
     rng = np.random.default_rng(seed)
-    blobs = 6 + n // 16
-    u = (np.arange(n) + 0.5) / n
-    U, V = np.meshgrid(u, u)
-    grid = np.zeros((n, n))
-    for _ in range(blobs):
+    bumps = []
+    for _ in range(6 + n // 16):
         cx, cy = rng.uniform(0.15, 0.85, size=2)
         wx, wy = rng.uniform(0.05, 0.25, size=2)
         amp = rng.uniform(0.5, 1.0)
-        grid += amp * np.exp(-((U - cx) ** 2) / (2 * wx**2) - ((V - cy) ** 2) / (2 * wy**2))
+        bumps.append((amp, cx, cy, wx, wy))
+    grid = _bump_sum(n, bumps)
     return (grid > np.quantile(grid, 0.6)).astype(np.float64)
 
 

@@ -136,7 +136,7 @@ def parse_spec_file(path) -> dict:
     """Read a flat ``key = value`` spec file (blank lines and # comments ok; each key once)."""
     values: dict = {}
     lines: dict = {}  # the line each key was set on
-    with open(path) as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         for lineno, line in enumerate(fh, 1):
             stripped = line.strip()
             if not stripped or stripped.startswith("#"):
@@ -173,12 +173,12 @@ def run_experiment(spec: ExperimentSpec, projector=None) -> dict:
     """Execute the two-step pipeline and write artifacts to spec.output_dir.
 
     A ``projector`` whose geometry equals the spec's is used, else one is
-    built.  Returns a summary record with the chosen gamma, the sweep scores,
-    the list of files written and, as ``methods[method][branch]``, that
-    branch's row of ``summary.csv``.  The record is deterministic for a fixed
-    spec.  The output directory is created only once the sweep has run, so a
-    spec the data cannot satisfy (a patch or neighbor count too large, FBP on
-    one ray) leaves nothing behind.
+    built.  Returns a summary record with the chosen gamma, the sweep scores
+    and, as ``methods[method][branch]``, that branch's row of ``summary.csv``.
+    The record is deterministic for a fixed spec.  The output directory is
+    created only once the sweep has run, so a spec the data cannot satisfy
+    (a patch or neighbor count too large, FBP on one ray) leaves nothing
+    behind.
     """
     truth = generate_phantom(spec.phantom, spec.n, spec.seed)
     geometry = spec.stages["geometry"]
@@ -205,22 +205,13 @@ def run_experiment(spec: ExperimentSpec, projector=None) -> dict:
 
     outdir = Path(spec.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
-    artifacts: list[str] = []
-
-    def _save(writer, obj, name, *args):
-        path = outdir / name
-        writer(obj, path, *args)
-        artifacts.append(str(path))
-
-    _save(write_image_raw, truth, "phantom.img")
-    _save(write_image_pgm, truth, "phantom.pgm")
-    _save(write_sinogram_raw, clean, "sino_clean.sino")
-    _save(write_sinogram_raw, noisy, "sino_noisy.sino")
-    _save(write_sinogram_raw, denoised, "sino_denoised.sino")
-
-    _save(write_csv, zip(gammas, scores), "gamma_scores.csv", ("gamma", "score"))
-
-    _save(write_profile_csv, profile(truth), "profile_truth.csv")
+    write_image_raw(truth, outdir / "phantom.img")
+    write_image_pgm(truth, outdir / "phantom.pgm")
+    write_sinogram_raw(clean, outdir / "sino_clean.sino")
+    write_sinogram_raw(noisy, outdir / "sino_noisy.sino")
+    write_sinogram_raw(denoised, outdir / "sino_denoised.sino")
+    write_csv(zip(gammas, scores), outdir / "gamma_scores.csv", ("gamma", "score"))
+    write_profile_csv(profile(truth), outdir / "profile_truth.csv")
 
     branches = {"raw": noisy, "gd": denoised}
     track = lambda xv: l2_error(xv, truth)  # noqa: E731
@@ -245,13 +236,13 @@ def run_experiment(spec: ExperimentSpec, projector=None) -> dict:
             }
             results.setdefault(method, {})[branch] = row
             tag = f"{method}_{branch}"
-            _save(write_image_raw, img, f"recon_{tag}.img")
-            _save(write_image_pgm, img, f"recon_{tag}.pgm")
+            write_image_raw(img, outdir / f"recon_{tag}.img")
+            write_image_pgm(img, outdir / f"recon_{tag}.pgm")
             if curve.values.size > 1:
-                _save(write_curve_csv, curve.values, f"curve_{tag}.csv")
-            _save(write_profile_csv, profile(img), f"profile_{tag}.csv")
+                write_curve_csv(curve.values, outdir / f"curve_{tag}.csv")
+            write_profile_csv(profile(img), outdir / f"profile_{tag}.csv")
     rows = [row for by_branch in results.values() for row in by_branch.values()]
-    _save(write_csv, [row.values() for row in rows], "summary.csv", rows[0].keys())
+    write_csv([row.values() for row in rows], outdir / "summary.csv", rows[0].keys())
 
     with open(outdir / "summary.txt", "w") as fh:
         fh.write(f"phantom={spec.phantom} n={spec.n} noise={spec.noise_level} seed={spec.seed}\n")
@@ -264,7 +255,6 @@ def run_experiment(spec: ExperimentSpec, projector=None) -> dict:
                 f"{row['final_error']:>14.6f}{row['min_error']:>14.6f}"
                 f"{row['argmin_iteration']:>8d}\n"
             )
-    artifacts.append(str(outdir / "summary.txt"))
 
     return {
         "spec": spec,
@@ -273,7 +263,6 @@ def run_experiment(spec: ExperimentSpec, projector=None) -> dict:
         "noisy_rel_error": rel_noisy,
         "denoised_rel_error": rel_denoised,
         "methods": results,
-        "artifacts": artifacts,
     }
 
 

@@ -80,13 +80,6 @@ class Sinogram:
             raise ValueError(f"invalid sinogram shape p={self.p}, q={self.q}")
         self.values = flat_finite(self.values, self.p * self.q, "sinogram", "values")
 
-    @classmethod
-    def from_grid(cls, grid: np.ndarray) -> "Sinogram":
-        grid = np.asarray(grid, dtype=np.float64)
-        if grid.ndim != 2:
-            raise ValueError(f"expected a 2-D array, got shape {grid.shape}")
-        return cls(grid.shape[0], grid.shape[1], grid.ravel())
-
     @property
     def grid(self) -> np.ndarray:
         return self.values.reshape(self.p, self.q)

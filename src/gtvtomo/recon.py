@@ -91,15 +91,13 @@ def fbp(s: Sinogram, geometry: Geometry, cfg: FbpConfig = FbpConfig()) -> Image:
     dt = offsets[1] - offsets[0]
 
     npad = 1 << (2 * p - 1).bit_length()  # the next power of two >= 2p
-    padded = np.zeros((npad, q))
-    padded[:p] = s.grid
     freqs = np.fft.fftfreq(npad, d=dt)
     filt = np.abs(freqs)
     if cfg.filter_name == "shepp-logan":
         filt = filt * np.sinc(freqs * dt)
     elif cfg.filter_name == "cosine":
         filt = filt * np.cos(np.pi * freqs * dt)
-    filtered = np.real(np.fft.ifft(np.fft.fft(padded, axis=0) * filt[:, None], axis=0))[:p]
+    filtered = np.real(np.fft.ifft(np.fft.fft(s.grid, n=npad, axis=0) * filt[:, None], axis=0))[:p]
 
     xs = np.arange(n) - (n - 1) / 2.0
     ys = (n - 1) / 2.0 - np.arange(n)
@@ -122,8 +120,9 @@ def _block_iterate(A: ProjectionOperator, b, blocks, steps: int, tracker) -> tup
     """From ``x = 0``, ``steps`` times apply each ``(rows, c)`` block ``B`` in turn.
 
     One block is one step ``x += B^T (c * (b_B - B x) / ||a_i||^2)``.  Raises
-    :class:`DivergenceError` if the iterate norm passes 1e12 after a step;
-    non-None tracker returns on a copy of each step's iterate form the curve.
+    :class:`DivergenceError` if the iterate norm passes 1e12 times its norm
+    after the first step, a bound that scales with the data; non-None tracker
+    returns on a copy of each step's iterate form the curve.
     """
     b = np.asarray(b, dtype=np.float64)
     if b.size != A.rows:
@@ -135,11 +134,13 @@ def _block_iterate(A: ProjectionOperator, b, blocks, steps: int, tracker) -> tup
         gathered.append((B, B.T, b[rows], c, A.row_norms_sq[rows]))
     x = np.zeros(A.cols)
     tracked = []
-    for _ in range(steps):
+    for step in range(steps):
         for B, B_t, b_B, c, norms_B in gathered:
             x += B_t @ (c * (b_B - B @ x) / norms_B)
-        if np.linalg.norm(x) > 1e12:
-            raise DivergenceError("iterate norm exceeded 1e12; reduce the relaxation")
+        norm = np.linalg.norm(x)
+        limit = 1e12 * norm if step == 0 else limit
+        if norm > limit:
+            raise DivergenceError("iterate norm grew 1e12-fold after the first step; reduce the relaxation")
         val = tracker(x.copy()) if tracker is not None else None
         if val is not None:
             tracked.append(float(val))
@@ -183,7 +184,7 @@ def sirt(
     ``lam`` is thus in units of ``1/rho``, and (0, 2) converges.  This is the
     shared projection step with one block of all nonzero rows and
     ``c = lam / rho``.  Raises :class:`DivergenceError` if the iterate norm
-    passes 1e12.
+    passes 1e12 times its norm after the first iteration.
     """
     active = np.flatnonzero(A.row_norms_sq > 0)
     if active.size == 0:

@@ -12,7 +12,7 @@ from gtvtomo.patch_graph import PatchConfig
 from gtvtomo.pipeline import _coerce, parse_spec_file
 from gtvtomo.projector import Geometry
 from gtvtomo.recon import ArtConfig, FbpConfig, SirtConfig
-from gtvtomo.serialize import write_sinogram_raw
+from gtvtomo.serialize import read_image_raw, read_sinogram_raw, write_sinogram_raw
 
 # Option strings of every subcommand; the experiment flags are derived from
 # ExperimentSpec, so a new or renamed spec field shows up here.
@@ -346,3 +346,31 @@ class TestEarlyErrors:
         assert main(["noise", "--sino", str(sino), "--level", "0.05", "--seed", "-1", "--out", str(out)]) == 2
         assert "seed must be >= 0, got -1" in capsys.readouterr().err
         assert not out.exists()
+
+
+class TestFarFromUnitScale:
+    """Weights and data far from unit scale run like unit-scale ones."""
+
+    def test_denoise_with_huge_gamma(self, tmp_path):
+        ph, sino, out = tmp_path / "ph.img", tmp_path / "s.sino", tmp_path / "d.sino"
+        assert main(["phantom", "--n", "8", "--out", str(ph)]) == 0
+        assert main(["project", "--image", str(ph), "--rays", "3", "--num-angles", "2", "--out", str(sino)]) == 0
+        assert main(["denoise", "--sino", str(sino), "--gamma", "1e160", "--neighbors", "3", "--out", str(out)]) == 0
+        assert np.all(np.isfinite(read_sinogram_raw(out).values))
+
+    @pytest.mark.parametrize("method", ["art", "sirt"])
+    def test_reconstruct_scaled_sinogram(self, tmp_path, method):
+        ph, sino, scaled = tmp_path / "ph.img", tmp_path / "s.sino", tmp_path / "big.sino"
+        assert main(["phantom", "--n", "64", "--out", str(ph)]) == 0
+        assert main(["project", "--image", str(ph), "--out", str(sino)]) == 0
+        s = read_sinogram_raw(sino)
+        write_sinogram_raw(Sinogram(s.p, s.q, 1e11 * s.values), scaled)
+        budget = ["--art-sweeps", "5"] if method == "art" else ["--sirt-iterations", "10"]
+        images = []
+        for data in (sino, scaled):
+            out = tmp_path / f"{data.stem}.img"
+            assert main(["reconstruct", "--sino", str(data), "--n", "64", "--method", method, *budget,
+                         "--out", str(out)]) == 0
+            images.append(read_image_raw(out).pixels)
+        want = 1e11 * images[0]
+        assert np.linalg.norm(images[1] - want) <= 1e-12 * np.linalg.norm(want)

@@ -100,6 +100,12 @@ class TestDenoiseBasics:
             assert np.array_equal(z, b)
             assert trace.iterations_run == 1
 
+    def test_huge_gamma_stays_finite(self):
+        # objectives past 1e154 must not overflow the stop rule's squared change
+        z, trace = denoise(np.array([0.0, 3.0]), two_node(), DenoiseConfig(1e160))
+        assert trace.objective[0] > 1e160
+        np.testing.assert_allclose(z, [1.5, 1.5])
+
     def test_input_validation(self):
         g = two_node()
         with pytest.raises(ValueError):
@@ -206,7 +212,7 @@ class TestSolverQuality:
     def test_objective_trace_monotone_after_transient(self):
         rng = np.random.default_rng(4)
         grid = np.repeat(np.linspace(0, 4, 10), 12).reshape(10, 12)
-        noisy = Sinogram.from_grid(grid + 0.3 * rng.standard_normal((10, 12)))
+        noisy = Sinogram(10, 12, (grid + 0.3 * rng.standard_normal((10, 12))).ravel())
         cfg = PatchConfig(3, 4)
         g = build_graph(extract_patches(noisy, cfg), cfg)
         _, trace = denoise(noisy.values, g, DenoiseConfig(1.0, epsilon=1e-12, max_iters=400))

@@ -7,7 +7,6 @@ from gtvtomo import (
     l2_error,
     min_error,
     profile,
-    relative_l2_error,
 )
 
 
@@ -38,13 +37,6 @@ class TestL2Error:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             l2_error(Image(4, np.zeros(16)), Image(5, np.zeros(25)))
-
-    def test_relative_variant(self):
-        a = Image(2, np.array([3.0, 0.0, 0.0, 0.0]))
-        b = Image(2, np.array([0.0, 0.0, 0.0, 4.0]))
-        assert relative_l2_error(a, b) == pytest.approx(5.0 / 4.0)
-        with pytest.raises(ValueError):
-            relative_l2_error(a, Image(2, np.zeros(4)))
 
 
 class TestProfile:

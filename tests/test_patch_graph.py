@@ -79,7 +79,7 @@ class TestExtractPatches:
     def test_replicate_padding_against_brute_force(self):
         rng = np.random.default_rng(8)
         grid = rng.random((7, 5))
-        s = Sinogram.from_grid(grid)
+        s = Sinogram(7, 5, grid.ravel())
         l, half = 3, 1
         patches = extract_patches(s, PatchConfig(l, 1))
         for pix in [0, 4, 30, 34, 17]:  # corners and an interior pixel

@@ -92,6 +92,26 @@ class TestSmooth:
         assert img.grid[1:-1, 1:-1].min() > 0.0
 
 
+class TestBinary:
+    @staticmethod
+    def oracle(n, seed):
+        """The documented recipe: per blob draw cx, cy, then wx, wy, then amp;
+        sum the Gaussian bumps at pixel centers; threshold at the 0.6 quantile."""
+        rng = np.random.default_rng(seed)
+        v, u = (np.mgrid[0:n, 0:n] + 0.5) / n
+        total = np.zeros((n, n))
+        for _ in range(6 + n // 16):
+            cx, cy = rng.uniform(0.15, 0.85, size=2)
+            wx, wy = rng.uniform(0.05, 0.25, size=2)
+            amp = rng.uniform(0.5, 1.0)
+            total += amp * np.exp(-((u - cx) ** 2) / (2 * wx * wx) - ((v - cy) ** 2) / (2 * wy * wy))
+        return (total > np.quantile(total, 0.6)).astype(np.float64)
+
+    @pytest.mark.parametrize("n, seed", [(8, 0), (17, 3), (64, 11), (100, 7)])
+    def test_matches_documented_recipe(self, n, seed):
+        np.testing.assert_array_equal(generate_phantom("binary", n, seed).grid, self.oracle(n, seed))
+
+
 class TestValueSets:
     def test_binary_two_values(self):
         img = generate_phantom("binary", 64, seed=7)

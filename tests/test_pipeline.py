@@ -116,6 +116,15 @@ class TestSpecFile:
         assert spec.seed == 9
         assert spec.noise_level == 0.05
 
+    def test_byte_order_mark_is_skipped(self, tmp_path):
+        # editors such as Notepad start a UTF-8 file with U+FEFF
+        text = "phantom = smooth\nn = 16\n"
+        plain, marked = tmp_path / "plain.spec", tmp_path / "marked.spec"
+        plain.write_text(text, encoding="utf-8")
+        marked.write_text(text, encoding="utf-8-sig")
+        assert marked.read_bytes().startswith(b"\xef\xbb\xbf")
+        assert parse_spec_file(marked) == parse_spec_file(plain) == {"phantom": "smooth", "n": 16}
+
     def test_bad_key_rejected(self, tmp_path):
         path = tmp_path / "bad.spec"
         path.write_text("wavelength = 3\n")
@@ -159,9 +168,7 @@ class TestRunExperiment:
             ".img": read_image_raw,
             ".sino": read_sinogram_raw,
         }
-        for artifact in summary["artifacts"]:
-            path = Path(artifact)
-            assert path.exists(), artifact
+        for path in Path(spec.output_dir).iterdir():
             if path.suffix in readers:
                 readers[path.suffix](path)
             elif path.suffix == ".csv" and path.name.startswith(("curve_", "profile_")):
