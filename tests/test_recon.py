@@ -159,6 +159,29 @@ class TestFbpOracle:
         want = loop_fbp(grid, geometry, cfg)
         np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-10 * np.abs(want).max(initial=1.0))
 
+    @pytest.mark.parametrize("span", [None, 24.0])
+    @pytest.mark.parametrize("interpolation", FBP_INTERPOLATIONS)
+    def test_mid_size(self, interpolation, span):
+        # 35 bins: at the default span the pixels reach bins 0-34 (linear), the last one included;
+        # at span n the corners fall off both ends and their bin indices are clipped
+        geometry = Geometry(24, 35, 12, span)
+        grid = np.random.default_rng(5).standard_normal((35, 12))
+        cfg = FbpConfig("ram-lak", interpolation)
+        got = fbp(Sinogram(35, 12, grid.ravel()), geometry, cfg).grid
+        want = loop_fbp(grid, geometry, cfg)
+        np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-10 * np.abs(want).max())
+
+    def test_cached_operators_follow_span_filter_and_interpolation(self):
+        # same (n, p, q) throughout, so a cache key missing any of the three returns a stale operator
+        grid = np.random.default_rng(6).standard_normal((9, 4))
+        for span in (8.0, 12.0):
+            for interpolation in FBP_INTERPOLATIONS:
+                for filter_name in ("ram-lak", "cosine"):
+                    geometry, cfg = Geometry(8, 9, 4, span), FbpConfig(filter_name, interpolation)
+                    got = fbp(Sinogram(9, 4, grid.ravel()), geometry, cfg).grid
+                    want = loop_fbp(grid, geometry, cfg)
+                    np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-10 * np.abs(want).max())
+
 
 class TestArt:
     def test_consistent_invertible_system(self):
@@ -415,13 +438,14 @@ class TestSirt:
 
 
 class TestDataScale:
-    @pytest.mark.parametrize("scale", [1e-11, 1e11])
+    @pytest.mark.parametrize("scale", [1e-11, 1e11, 1e-200, 1e200])
     @pytest.mark.parametrize("method", ["art", "sirt"])
     def test_scaled_data_scales_the_image(self, projector64, sino64_clean, method, scale):
-        # the divergence guard is relative to the first step, so the data's units cannot trip it
+        # the divergence guard is relative to the first step and measured without overflow,
+        # so the data's units cannot trip or disarm it
         solve, cfg = (art, ArtConfig(sweeps=5)) if method == "art" else (sirt, SirtConfig(iterations=10))
-        want = scale * solve(projector64, sino64_clean.values, cfg)[0].pixels
-        got = solve(projector64, scale * sino64_clean.values, cfg)[0].pixels
+        want = solve(projector64, sino64_clean.values, cfg)[0].pixels
+        got = solve(projector64, scale * sino64_clean.values, cfg)[0].pixels / scale
         assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
 
