@@ -63,13 +63,6 @@ class Image:
             raise ValueError(f"image side must be positive, got {self.n}")
         self.pixels = flat_finite(self.pixels, self.n * self.n, "image", "pixels")
 
-    @classmethod
-    def from_grid(cls, grid: np.ndarray) -> "Image":
-        grid = np.asarray(grid, dtype=np.float64)
-        if grid.ndim != 2 or grid.shape[0] != grid.shape[1]:
-            raise ValueError(f"expected a square 2-D array, got shape {grid.shape}")
-        return cls(grid.shape[0], grid.ravel())
-
     @property
     def grid(self) -> np.ndarray:
         """Row-major (n, n) view of the pixel vector."""
@@ -113,7 +106,7 @@ def generate_phantom(kind: str, n: int, seed: int = 0) -> Image:
         raise ValueError(f"unknown phantom kind {kind!r}; expected one of {PHANTOM_KINDS}")
     lo, hi = grid.min(), grid.max()
     scaled = (grid - lo) / (hi - lo) if hi > lo else np.zeros_like(grid)
-    return Image.from_grid(scaled)
+    return Image(n, scaled.ravel())
 
 
 def _shepp_logan(n: int) -> np.ndarray:

@@ -310,11 +310,13 @@ def run_table1(
         row_specs.append([replace(row, seed=seed, output_dir=str(rowdir / f"seed_{seed}")) for seed in seeds])
     projector = build_projector(base.stages["geometry"])
 
-    rows = []
+    rows, runs = [], {}  # with noise_override, a phantom's two rows share their specs and run once
     for (phantom, _, iter_method), specs in zip(TABLE1_ROWS, row_specs):
-        runs = [run_experiment(spec, projector=projector)["methods"] for spec in specs]
+        for spec in specs:
+            if spec not in runs:
+                runs[spec] = run_experiment(spec, projector=projector)["methods"]
         cells = {
-            m: {br: _seed_stats([run[m][br]["min_error"] for run in runs]) for br in BRANCHES}
+            m: {br: _seed_stats([runs[spec][m][br]["min_error"] for spec in specs]) for br in BRANCHES}
             for m in ("fbp", iter_method)
         }
         rows.append(dict(phantom=phantom, noise_level=specs[0].noise_level, iter_method=iter_method, cells=cells))

@@ -22,9 +22,9 @@ from gtvtomo.phantoms import Image, flat_finite
 _CROSSING_TOL = 1e-12
 
 
-@dataclass
+@dataclass(frozen=True)
 class Geometry:
-    """Parallel-beam acquisition geometry.
+    """Immutable parallel-beam acquisition geometry; equal geometries hash equal.
 
     ``p`` rays per angle are spread evenly over ``detector_span`` (measured
     in pixel units, endpoints included, centered on the image), at ``q``
@@ -42,9 +42,8 @@ class Geometry:
             raise ValueError(f"image side must be positive, got {self.n}")
         if self.p < 1 or self.q < 1:
             raise ValueError(f"need at least one ray and one angle, got p={self.p}, q={self.q}")
-        if self.detector_span is None:
-            self.detector_span = float(self.n) * np.sqrt(2.0)
-        self.detector_span = float(self.detector_span)
+        span = float(self.n) * np.sqrt(2.0) if self.detector_span is None else self.detector_span
+        object.__setattr__(self, "detector_span", float(span))
         if not self.n <= self.detector_span < np.inf:
             raise ValueError(
                 f"detector_span {self.detector_span} must be finite and cover the image side {self.n}"
@@ -85,9 +84,9 @@ class Sinogram:
         return self.values.reshape(self.p, self.q)
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, frozen=True)
 class ProjectionOperator:
-    """Immutable CSR projection matrix with its geometry; ``transpose_matrix`` is a CSC view of it."""
+    """Frozen CSR projection matrix and geometry; what ART and SIRT derive from them is cached on first use."""
 
     matrix: sp.csr_matrix = field(repr=False)
     geometry: Geometry
@@ -117,16 +116,21 @@ class ProjectionOperator:
         return np.asarray(self.matrix.multiply(self.matrix).sum(axis=1)).ravel()
 
     @cached_property
-    def art_schedule(self) -> tuple[np.ndarray, np.ndarray]:
-        """``(rows, bounds)``: the nonzero rows in Kaczmarz order, grouped into levels.
+    def active_rows(self) -> np.ndarray:
+        """The rows that ART and SIRT use: those of nonzero norm, ascending."""
+        return np.flatnonzero(self.row_norms_sq > 0)
+
+    @cached_property
+    def art_schedule(self) -> list[np.ndarray]:
+        """The active rows in Kaczmarz order, grouped into levels, one row array per level.
 
         The order is angle-major, even rays before odd.  A row's level is one
         more than the highest level of the earlier rows sharing a pixel with it,
-        so level ``j``, ``rows[bounds[j]:bounds[j + 1]]``, has rows of disjoint
-        pixel supports that commute, and the levels in ascending order apply
-        the rows exactly as that order does.  Built on first use.
+        so each level has rows of disjoint pixel supports that commute, and the
+        levels in turn apply the rows exactly as that order does.  Built on
+        first use.
         """
-        active = np.flatnonzero(self.row_norms_sq > 0)
+        active = self.active_rows
         ray, angle = active // self.geometry.q, active % self.geometry.q
         order = active[np.lexsort((ray, ray % 2, angle))]
         indptr, indices = self.matrix.indptr, self.matrix.indices
@@ -136,8 +140,7 @@ class ProjectionOperator:
             cols = indices[indptr[i] : indptr[i + 1]]
             levels[pos] = last[cols].max() + 1
             last[cols] = levels[pos]
-        bounds = np.concatenate(([0], np.cumsum(np.bincount(levels)[1:])))
-        return order[np.argsort(levels, kind="stable")], bounds
+        return [order[levels == level] for level in range(1, levels.max(initial=0) + 1)]
 
     @cached_property
     def sirt_radius(self) -> float:
@@ -149,7 +152,7 @@ class ProjectionOperator:
         value, the number of nonzero rows (0 if there are none).  Built on
         first use.
         """
-        active = np.flatnonzero(self.row_norms_sq > 0)
+        active = self.active_rows
         if self.cols == 1 or active.size == 0:
             return float(active.size)
         B = self.matrix[active]

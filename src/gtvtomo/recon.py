@@ -76,13 +76,13 @@ class FbpConfig:
 
 
 @lru_cache(maxsize=4)
-def _fbp_operators(n: int, p: int, q: int, span: float, cfg: FbpConfig):
-    """FBP's ramp filter ``H`` (p x p) and CSR backprojector ``W`` (n^2 x pq), keyed on values.
+def _fbp_operators(g: Geometry, cfg: FbpConfig):
+    """FBP's ramp filter ``H`` (p x p) and CSR backprojector ``W`` (n^2 x pq), cached per geometry.
 
     A row of ``W`` holds, per angle, a pixel's weights on bins ``j, j+1``
     (``linear``) or on one bin (``nearest``), 0 for a sample off the detector.
     """
-    g = Geometry(n, p, q, span)
+    n, p, q = g.n, g.p, g.q
     offsets = g.offsets
     dt = offsets[1] - offsets[0]
     npad = 1 << (2 * p - 1).bit_length()  # the next power of two >= 2p
@@ -125,17 +125,17 @@ def fbp(s: Sinogram, geometry: Geometry, cfg: FbpConfig = FbpConfig()) -> Image:
         raise ValueError(f"sinogram is {s.p}x{s.q} but geometry expects {geometry.p}x{geometry.q}")
     if geometry.p < 2:
         raise ValueError("filtered backprojection needs at least 2 rays per angle")
-    H, W = _fbp_operators(geometry.n, geometry.p, geometry.q, geometry.detector_span, cfg)
+    H, W = _fbp_operators(geometry, cfg)
     return Image(geometry.n, W @ (H @ s.grid).ravel() * (np.pi / geometry.q))
 
 
-def _block_iterate(A: ProjectionOperator, b, blocks, steps: int, tracker) -> tuple[Image, ErrorCurve]:
-    """From ``x = 0``, ``steps`` times apply each ``(rows, c)`` block ``B`` in turn.
+def _block_iterate(A: ProjectionOperator, b, blocks, c: float, steps: int, tracker) -> tuple[Image, ErrorCurve]:
+    """From ``x = 0``, ``steps`` times apply each row block ``B`` in turn with relaxation ``c``.
 
     One block is one step ``x += B^T (c * (b_B - B x) / ||a_i||^2)``.  Raises
     :class:`DivergenceError` if the largest iterate entry passes 1e12 times its
-    value after the first step, a bound that scales with the data and cannot
-    overflow while the iterate is finite; non-None tracker
+    value after the first step, a bound that scales with the data and is
+    compared without overflow; non-None tracker
     returns on a copy of each step's iterate form the curve.
     """
     b = np.asarray(b, dtype=np.float64)
@@ -143,17 +143,17 @@ def _block_iterate(A: ProjectionOperator, b, blocks, steps: int, tracker) -> tup
         raise ValueError(f"data has {b.size} entries but operator has {A.rows} rows")
     # Blocks are gathered per call, not cached on the operator: a cached copy raised peak RSS.
     gathered = []
-    for rows, c in blocks:
+    for rows in blocks:
         B = A.matrix[rows]
-        gathered.append((B, B.T, b[rows], c, A.row_norms_sq[rows]))
+        gathered.append((B, B.T, b[rows], A.row_norms_sq[rows]))
     x = np.zeros(A.cols)
     tracked = []
     for step in range(steps):
-        for B, B_t, b_B, c, norms_B in gathered:
+        for B, B_t, b_B, norms_B in gathered:
             x += B_t @ (c * (b_B - B @ x) / norms_B)
         size = np.abs(x).max()
-        limit = 1e12 * size if step == 0 else limit
-        if size > limit:
+        first = size if step == 0 else first
+        if size / 1e12 > first:
             raise DivergenceError("iterate norm grew 1e12-fold after the first step; reduce the relaxation")
         val = tracker(x.copy()) if tracker is not None else None
         if val is not None:
@@ -178,9 +178,7 @@ def art(
     with ``c = lam``.  Rows of one level commute, so a sweep equals the
     row-by-row sweep in that order up to floating-point summation order.
     """
-    rows, bounds = A.art_schedule
-    levels = [(rows[lo:hi], cfg.lam) for lo, hi in zip(bounds[:-1], bounds[1:])]
-    return _block_iterate(A, b, levels, cfg.sweeps, tracker)
+    return _block_iterate(A, b, A.art_schedule, cfg.lam, cfg.sweeps, tracker)
 
 
 def sirt(
@@ -200,7 +198,6 @@ def sirt(
     ``c = lam / rho``.  Raises :class:`DivergenceError` if the largest iterate
     entry passes 1e12 times its value after the first iteration.
     """
-    active = np.flatnonzero(A.row_norms_sq > 0)
-    if active.size == 0:
+    if A.active_rows.size == 0:
         raise ValueError("operator has no nonzero rows")
-    return _block_iterate(A, b, [(active, cfg.lam / A.sirt_radius)], cfg.iterations, tracker)
+    return _block_iterate(A, b, [A.active_rows], cfg.lam / A.sirt_radius, cfg.iterations, tracker)

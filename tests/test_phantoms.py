@@ -144,5 +144,5 @@ class TestImageType:
     def test_grid_round_trip(self):
         rng = np.random.default_rng(0)
         grid = rng.random((6, 6))
-        img = Image.from_grid(grid)
+        img = Image(6, grid.ravel())
         np.testing.assert_array_equal(img.grid, grid)

@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gtvtomo import ExperimentSpec, run_experiment, run_table1
+from gtvtomo import ExperimentSpec, pipeline, run_experiment, run_table1
 from gtvtomo.cli import main
 from gtvtomo.pipeline import default_gamma_grid, parse_spec_file
 from gtvtomo.serialize import (
@@ -279,6 +279,27 @@ class TestRunTable1:
     def test_requires_seeds(self, tmp_path):
         with pytest.raises(ValueError):
             run_table1(tmp_path / "t", seeds=[])
+
+    @pytest.mark.parametrize("noise_override", [None, 0.03])
+    def test_each_distinct_experiment_runs_once(self, tmp_path, monkeypatch, noise_override):
+        calls = []
+
+        def counted(spec, **kwargs):
+            calls.append(spec)
+            return run_experiment(spec, **kwargs)
+
+        monkeypatch.setattr(pipeline, "run_experiment", counted)
+        base = ExperimentSpec(
+            n=16, rays=23, num_angles=10, neighbors=4, gammas=(0.0, 0.4), art_sweeps=6, sirt_iterations=20
+        )
+        record = run_table1(tmp_path / "t", seeds=[1, 2], base=base, noise_override=noise_override)
+        # an override gives a phantom's two rows one spec per seed, so each phantom runs once per seed
+        assert len(calls) == len(set(calls)) == (2 if noise_override is not None else 4) * 2
+        _, lines = read_table(record["csv"])
+        assert len(lines) == 4 * 2 * 2
+        if noise_override is not None:
+            shepp = [line for line in lines if line["phantom"] == "shepp-logan"]
+            assert shepp[:4] == shepp[4:]
 
 
 class TestCli:

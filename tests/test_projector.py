@@ -1,3 +1,6 @@
+from dataclasses import FrozenInstanceError
+from math import sqrt
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -52,6 +55,29 @@ class TestGeometry:
         for span in (np.nan, np.inf):
             with pytest.raises(ValueError, match="detector_span"):
                 Geometry(8, 5, 4, detector_span=span)
+
+    def test_default_span_is_a_value(self):
+        # the geometry keys the cached FBP operators, so the default and the explicit span are one key
+        g, explicit = Geometry(64, 95, 36), Geometry(64, 95, 36, 64 * sqrt(2))
+        assert g == explicit and hash(g) == hash(explicit)
+
+    def test_frozen(self):
+        g = Geometry(8, 5, 4)
+        for name, value in (("n", 9), ("p", 7), ("q", 2), ("detector_span", 12.0)):
+            with pytest.raises(FrozenInstanceError):
+                setattr(g, name, value)
+        assert g == Geometry(8, 5, 4)
+
+
+class TestProjectionOperatorFrozen:
+    def test_fields_cannot_be_reassigned_under_its_caches(self):
+        A = build_projector(Geometry(8, 5, 4))
+        rows, schedule = A.active_rows, A.art_schedule
+        with pytest.raises(FrozenInstanceError):
+            A.matrix = A.matrix * 2.0
+        with pytest.raises(FrozenInstanceError):
+            A.geometry = Geometry(8, 5, 2)
+        assert A.active_rows is rows and A.art_schedule is schedule
 
 
 class TestRayTracing:

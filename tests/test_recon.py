@@ -18,7 +18,7 @@ from gtvtomo import (
     l2_error,
     sirt,
 )
-from gtvtomo.recon import FBP_FILTERS, FBP_INTERPOLATIONS, _block_iterate
+from gtvtomo.recon import FBP_FILTERS, FBP_INTERPOLATIONS, _block_iterate, _fbp_operators
 
 # Frozen self-oracle threshold for FBP on the noiseless Shepp-Logan sinogram
 # (n=64, 95 rays, 36 angles, Ram-Lak/linear); first run measured 0.381.
@@ -182,6 +182,14 @@ class TestFbpOracle:
                     want = loop_fbp(grid, geometry, cfg)
                     np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-10 * np.abs(want).max())
 
+    def test_equal_geometries_share_one_cached_operator(self):
+        # the default span and the same span given explicitly build one W, not two
+        g, explicit, cfg = Geometry(6, 7, 3), Geometry(6, 7, 3, 6 * np.sqrt(2.0)), FbpConfig("shepp-logan", "nearest")
+        W = _fbp_operators(g, cfg)[1]
+        hits = _fbp_operators.cache_info().hits
+        assert _fbp_operators(explicit, cfg)[1] is W
+        assert _fbp_operators.cache_info().hits == hits + 1
+
 
 class TestArt:
     def test_consistent_invertible_system(self):
@@ -269,13 +277,13 @@ class TestArtSchedule:
     def test_levels_and_sequential_equivalence(self, problem):
         g, seed, lam = problem
         A = build_projector(g)
-        rows, bounds = A.art_schedule
-        active = np.flatnonzero(A.row_norms_sq > 0)
-        np.testing.assert_array_equal(np.sort(rows), active)
-        assert np.all(np.diff(bounds) > 0) and bounds[0] == 0 and bounds[-1] == rows.size
-        M = A.matrix[rows]
-        for lo, hi in zip(bounds[:-1], bounds[1:]):
-            cols = M.indices[M.indptr[lo] : M.indptr[hi]]
+        levels = A.art_schedule
+        active = A.active_rows
+        np.testing.assert_array_equal(active, np.flatnonzero(A.row_norms_sq > 0))
+        assert sorted(i for level in levels for i in level) == active.tolist()
+        for level in levels:
+            assert level.size > 0
+            cols = A.matrix[level].indices
             assert np.unique(cols).size == cols.size
 
         # Plain Kaczmarz, one row at a time, angle-major with even rays first.
@@ -409,7 +417,7 @@ class TestSirt:
         # SirtConfig keeps lam in (0, 2), so the runaway step goes to the shared kernel directly
         A, _, b = well_posed_system(seed=6)
         with pytest.raises(DivergenceError):
-            _block_iterate(A, b, [(np.arange(A.rows), 1e9)], 5000, None)
+            _block_iterate(A, b, [np.arange(A.rows)], 1e9, 5000, None)
 
     def test_tracker_called_per_iteration(self):
         A, _, b = well_posed_system(seed=7)
@@ -438,7 +446,7 @@ class TestSirt:
 
 
 class TestDataScale:
-    @pytest.mark.parametrize("scale", [1e-11, 1e11, 1e-200, 1e200])
+    @pytest.mark.parametrize("scale", [1e-11, 1e11, 1e-200, 1e200, 1e-300, 1e300])
     @pytest.mark.parametrize("method", ["art", "sirt"])
     def test_scaled_data_scales_the_image(self, projector64, sino64_clean, method, scale):
         # the divergence guard is relative to the first step and measured without overflow,
