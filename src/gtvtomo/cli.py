@@ -13,7 +13,6 @@ import sys
 from dataclasses import fields, replace
 
 from gtvtomo.gtv_denoise import denoise
-from gtvtomo.metrics import l2_error
 from gtvtomo.noise import NoiseSpec, add_noise
 from gtvtomo.patch_graph import build_graph, extract_patches
 from gtvtomo.phantoms import PHANTOM_KINDS, generate_phantom
@@ -245,15 +244,14 @@ def _cmd_reconstruct(args) -> int:
     truth = read_image_raw(args.truth) if args.truth else None
     if truth is not None and truth.n != spec.n:
         raise ValueError(f"--truth image is {truth.n}x{truth.n} but --n asks for {spec.n}x{spec.n}")
-    tracker = (lambda xv: l2_error(xv, truth)) if truth else None
-    img, curve = reconstruct(args.method, sino, spec, tracker=tracker)
+    img, curve = reconstruct(args.method, sino, spec, truth=truth)
     write_image_raw(img, args.out)
     if args.pgm:
         write_image_pgm(img, args.pgm)
     if args.curve:
         write_curve_csv(curve.values, args.curve)
     if truth is not None:
-        print(f"l2 error: {l2_error(img, truth):.6f}")
+        print(f"l2 error: {curve.values[-1]:.6f}")
     return 0
 
 

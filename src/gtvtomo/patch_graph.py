@@ -121,18 +121,17 @@ def graph_from_edges(node_count: int, edges) -> PatchGraph:
 
 
 def extract_patches(s, cfg: PatchConfig) -> np.ndarray:
-    """Vectorized l-by-l patches around every pixel of a p-by-q sinogram.
+    """Vectorized l-by-l patches around every pixel of a p-by-q :class:`~gtvtomo.projector.Sinogram`.
 
     Returns a (p*q, l*l) array; patch i is centered at pixel i in row-major
     order, with replicate padding past the border.
     """
-    grid = s.grid if hasattr(s, "grid") else np.asarray(s, dtype=np.float64)
-    p, q = grid.shape
+    p, q = s.p, s.q
     l = cfg.patch_side
     if l > 2 * min(p, q) - 1:
         raise ValueError(f"patch side {l} too large for a {p}x{q} sinogram")
     half = l // 2
-    padded = np.pad(grid, half, mode="edge")
+    padded = np.pad(s.grid, half, mode="edge")
     windows = np.lib.stride_tricks.sliding_window_view(padded, (l, l))
     return windows.reshape(p * q, l * l).copy()
 

@@ -154,18 +154,21 @@ def parse_spec_file(path) -> dict:
     return values
 
 
-def reconstruct(method: str, sino: Sinogram, spec: ExperimentSpec, projector=None, tracker=None):
+def reconstruct(method: str, sino: Sinogram, spec: ExperimentSpec, projector=None, truth=None):
     """Reconstruct with one method and the spec's geometry and settings for it.
 
     ``sino`` must have the spec's ray and angle counts.  FBP builds no
-    projector and returns ``(Image, None)``; ART and SIRT build one unless
-    ``projector`` is given, pass ``tracker`` on and return
-    ``(Image, ErrorCurve)``.
+    projector; ART and SIRT build one unless ``projector`` is given.  Returns
+    ``(Image, ErrorCurve)`` for every method: given a ``truth`` image, the
+    curve holds the l2 error after each ART sweep or SIRT iteration, or FBP's
+    one error; without one it is empty.
     """
     geometry, cfg = spec.stages["geometry"], spec.stages[method]
     if method == "fbp":
-        return fbp(sino, geometry, cfg), None
+        img = fbp(sino, geometry, cfg)
+        return img, ErrorCurve(np.array([l2_error(img, truth)] if truth is not None else []))
     A = projector if projector is not None else build_projector(geometry)
+    tracker = (lambda xv: l2_error(xv, truth)) if truth is not None else None
     return (art if method == "art" else sirt)(A, sino.values, cfg, tracker=tracker)
 
 
@@ -175,10 +178,11 @@ def run_experiment(spec: ExperimentSpec, projector=None) -> dict:
     A ``projector`` whose geometry equals the spec's is used, else one is
     built.  Returns a summary record with the chosen gamma, the sweep scores
     and, as ``methods[method][branch]``, that branch's row of ``summary.csv``.
-    The record is deterministic for a fixed spec.  The output directory is
-    created only once the sweep has run, so a spec the data cannot satisfy
-    (a patch or neighbor count too large, FBP on one ray) leaves nothing
-    behind.
+    The record is deterministic for a fixed spec.  Every reconstruction runs
+    before the output directory is created, so a spec the data cannot
+    satisfy (a patch or neighbor count too large, FBP on one ray) or a
+    solver that diverges leaves nothing behind.  ``curve_*.csv`` is written
+    per iterative method and branch, at every budget.
     """
     truth = generate_phantom(spec.phantom, spec.n, spec.seed)
     geometry = spec.stages["geometry"]
@@ -203,6 +207,9 @@ def run_experiment(spec: ExperimentSpec, projector=None) -> dict:
         for s in (noisy, denoised)
     )
 
+    branches = {"raw": noisy, "gd": denoised}
+    recons = {(m, br): reconstruct(m, sino, spec, A, truth) for m in spec.methods for br, sino in branches.items()}
+
     outdir = Path(spec.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
     write_image_raw(truth, outdir / "phantom.img")
@@ -213,34 +220,28 @@ def run_experiment(spec: ExperimentSpec, projector=None) -> dict:
     write_csv(zip(gammas, scores), outdir / "gamma_scores.csv", ("gamma", "score"))
     write_profile_csv(profile(truth), outdir / "profile_truth.csv")
 
-    branches = {"raw": noisy, "gd": denoised}
-    track = lambda xv: l2_error(xv, truth)  # noqa: E731
     results: dict = {}
-    for method in spec.methods:
-        for branch, sino in branches.items():
-            img, curve = reconstruct(method, sino, spec, A, tracker=track)
-            if curve is None:  # FBP: one image, one error
-                curve = ErrorCurve(np.array([l2_error(img, truth)]))
-            arg, best = min_error(curve)
-            row = {
-                "phantom": spec.phantom,
-                "n": spec.n,
-                "noise_level": spec.noise_level,
-                "seed": spec.seed,
-                "best_gamma": best_gamma,
-                "method": method,
-                "branch": branch,
-                "final_error": float(curve.values[-1]),
-                "min_error": best,
-                "argmin_iteration": arg,
-            }
-            results.setdefault(method, {})[branch] = row
-            tag = f"{method}_{branch}"
-            write_image_raw(img, outdir / f"recon_{tag}.img")
-            write_image_pgm(img, outdir / f"recon_{tag}.pgm")
-            if curve.values.size > 1:
-                write_curve_csv(curve.values, outdir / f"curve_{tag}.csv")
-            write_profile_csv(profile(img), outdir / f"profile_{tag}.csv")
+    for (method, branch), (img, curve) in recons.items():
+        arg, best = min_error(curve)
+        row = {
+            "phantom": spec.phantom,
+            "n": spec.n,
+            "noise_level": spec.noise_level,
+            "seed": spec.seed,
+            "best_gamma": best_gamma,
+            "method": method,
+            "branch": branch,
+            "final_error": float(curve.values[-1]),
+            "min_error": best,
+            "argmin_iteration": arg,
+        }
+        results.setdefault(method, {})[branch] = row
+        tag = f"{method}_{branch}"
+        write_image_raw(img, outdir / f"recon_{tag}.img")
+        write_image_pgm(img, outdir / f"recon_{tag}.pgm")
+        if method != "fbp":
+            write_curve_csv(curve.values, outdir / f"curve_{tag}.csv")
+        write_profile_csv(profile(img), outdir / f"profile_{tag}.csv")
     rows = [row for by_branch in results.values() for row in by_branch.values()]
     write_csv([row.values() for row in rows], outdir / "summary.csv", rows[0].keys())
 
@@ -310,11 +311,11 @@ def run_table1(
         row_specs.append([replace(row, seed=seed, output_dir=str(rowdir / f"seed_{seed}")) for seed in seeds])
     projector = build_projector(base.stages["geometry"])
 
-    rows, runs = [], {}  # with noise_override, a phantom's two rows share their specs and run once
+    # With noise_override, a phantom's two rows share their specs, so each distinct spec runs once.
+    distinct = dict.fromkeys(spec for specs in row_specs for spec in specs)
+    runs = {spec: run_experiment(spec, projector=projector)["methods"] for spec in distinct}
+    rows = []
     for (phantom, _, iter_method), specs in zip(TABLE1_ROWS, row_specs):
-        for spec in specs:
-            if spec not in runs:
-                runs[spec] = run_experiment(spec, projector=projector)["methods"]
         cells = {
             m: {br: _seed_stats([runs[spec][m][br]["min_error"] for spec in specs]) for br in BRANCHES}
             for m in ("fbp", iter_method)

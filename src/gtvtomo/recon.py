@@ -75,7 +75,7 @@ class FbpConfig:
             raise ValueError(f"interpolation must be one of {FBP_INTERPOLATIONS}")
 
 
-@lru_cache(maxsize=4)
+@lru_cache(maxsize=1)  # one (geometry, setting) per run; more slots keep stale W alive
 def _fbp_operators(g: Geometry, cfg: FbpConfig):
     """FBP's ramp filter ``H`` (p x p) and CSR backprojector ``W`` (n^2 x pq), cached per geometry.
 

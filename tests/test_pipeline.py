@@ -4,9 +4,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gtvtomo import ExperimentSpec, pipeline, run_experiment, run_table1
+from gtvtomo import ExperimentSpec, generate_phantom, l2_error, pipeline, run_experiment, run_table1
 from gtvtomo.cli import main
-from gtvtomo.pipeline import default_gamma_grid, parse_spec_file
+from gtvtomo.pipeline import TABLE1_ROWS, default_gamma_grid, parse_spec_file, reconstruct
+from gtvtomo.projector import build_projector, forward_project
+from gtvtomo.recon import DivergenceError
 from gtvtomo.serialize import (
     read_curve_csv,
     read_image_raw,
@@ -144,6 +146,23 @@ class TestSpecFile:
             parse_spec_file(path)
 
 
+class TestReconstruct:
+    """Every method returns ``(Image, ErrorCurve)``: one error per step given a truth, none without."""
+
+    @pytest.mark.parametrize("method", ["fbp", "art", "sirt"])
+    def test_one_result_contract(self, tmp_path, method):
+        spec = small_spec(tmp_path, art_sweeps=4, sirt_iterations=6)
+        truth = generate_phantom(spec.phantom, spec.n)
+        A = build_projector(spec.stages["geometry"])
+        sino = forward_project(A, truth)
+        img, curve = reconstruct(method, sino, spec, A, truth)
+        assert curve.values.size == {"fbp": 1, "art": spec.art_sweeps, "sirt": spec.sirt_iterations}[method]
+        assert curve.values[-1] == l2_error(img, truth)
+        bare, empty = reconstruct(method, sino, spec, A)
+        assert empty.values.size == 0
+        np.testing.assert_array_equal(bare.pixels, img.pixels)
+
+
 class TestRunExperiment:
     def test_degenerate_pipeline_identical_branches(self, tmp_path):
         spec = small_spec(tmp_path, noise_level=0.0, gammas=(0.0,))
@@ -161,9 +180,16 @@ class TestRunExperiment:
                 branches["gd"]["final_error"], abs=1e-12
             )
 
-    def test_artifacts_exist_and_parse(self, tmp_path):
-        spec = small_spec(tmp_path)
+    @pytest.mark.parametrize("budget", [{}, {"art_sweeps": 1, "sirt_iterations": 1}], ids=["default", "one-step"])
+    def test_artifacts_exist_and_parse(self, tmp_path, budget):
+        spec = small_spec(tmp_path, **budget)
         summary = run_experiment(spec)
+        # one curve per iterative method and branch, one row per step, at every budget; none for FBP
+        steps = {"art": spec.art_sweeps, "sirt": spec.sirt_iterations}
+        curves = {p.name for p in Path(spec.output_dir).glob("curve_*.csv")}
+        assert curves == {f"curve_{m}_{br}.csv" for m in steps for br in ("raw", "gd")}
+        for name in curves:
+            assert read_curve_csv(Path(spec.output_dir) / name).size == steps[name.split("_")[1]]
         readers = {
             ".img": read_image_raw,
             ".sino": read_sinogram_raw,
@@ -196,6 +222,20 @@ class TestRunExperiment:
             assert float(r["final_error"]) == rec["final_error"]
             assert float(r["min_error"]) == rec["min_error"]
             assert r["argmin_iteration"] == str(rec["argmin_iteration"])
+
+    def test_divergence_leaves_no_output_dir(self, tmp_path, monkeypatch):
+        def diverge(*args, **kwargs):
+            raise DivergenceError("forced")
+
+        monkeypatch.setattr(pipeline, "sirt", diverge)
+        spec = small_spec(tmp_path)
+        with pytest.raises(DivergenceError):
+            run_experiment(spec)
+        assert not Path(spec.output_dir).exists()
+        argv = ["experiment", "--n", "16", "--rays", "23", "--num-angles", "10", "--neighbors", "4",
+                "--gammas", "0,0.3", "--methods", "fbp,sirt", "--out-dir", spec.output_dir]
+        assert main(argv) == 4
+        assert not Path(spec.output_dir).exists()
 
     def test_reproducible_bit_identical(self, tmp_path):
         spec_a = small_spec(tmp_path, output_dir=str(tmp_path / "a"))
@@ -292,9 +332,14 @@ class TestRunTable1:
         base = ExperimentSpec(
             n=16, rays=23, num_angles=10, neighbors=4, gammas=(0.0, 0.4), art_sweeps=6, sirt_iterations=20
         )
-        record = run_table1(tmp_path / "t", seeds=[1, 2], base=base, noise_override=noise_override)
+        seeds = [2, 1]
+        record = run_table1(tmp_path / "t", seeds=seeds, base=base, noise_override=noise_override)
         # an override gives a phantom's two rows one spec per seed, so each phantom runs once per seed
         assert len(calls) == len(set(calls)) == (2 if noise_override is not None else 4) * 2
+        # row-major, seeds in the order given
+        order = [(ph, level if noise_override is None else noise_override, seed)
+                 for ph, level, _ in TABLE1_ROWS for seed in seeds]
+        assert [(c.phantom, c.noise_level, c.seed) for c in calls] == list(dict.fromkeys(order))
         _, lines = read_table(record["csv"])
         assert len(lines) == 4 * 2 * 2
         if noise_override is not None:
