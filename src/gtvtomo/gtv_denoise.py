@@ -21,6 +21,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from gtvtomo.patch_graph import PatchGraph, graph_gradient, spectral_norm
+from gtvtomo.phantoms import flat_finite
 
 @dataclass(frozen=True)
 class DenoiseConfig:
@@ -71,12 +72,7 @@ def denoise(b: np.ndarray, g: PatchGraph, cfg: DenoiseConfig) -> tuple[np.ndarra
         single iteration: the total-variation term vanishes, so ``b`` is the
         minimizer.
     """
-    b = np.asarray(b, dtype=np.float64)
-    if b.shape != (g.node_count,):
-        raise ValueError(f"signal must have length {g.node_count}, got shape {b.shape}")
-    if not np.all(np.isfinite(b)):
-        raise ValueError("input signal must be finite")
-
+    b = flat_finite(b, g.node_count, "denoise", "input signal")
     if cfg.gamma == 0.0 or not np.any(g.weights > 0):
         return b.copy(), DenoiseTrace([0.0], True)
 
@@ -104,12 +100,8 @@ def denoise(b: np.ndarray, g: PatchGraph, cfg: DenoiseConfig) -> tuple[np.ndarra
 
 def objective(b: np.ndarray, z: np.ndarray, g: PatchGraph, gamma: float) -> float:
     """Denoising objective ``||z - b||^2 + gamma * ||gradient(z)||_1``."""
-    b = np.asarray(b, dtype=np.float64)
-    z = np.asarray(z, dtype=np.float64)
-    if b.shape != z.shape or b.shape != (g.node_count,):
-        raise ValueError(
-            f"signals must both have length {g.node_count}, got {b.shape} and {z.shape}"
-        )
+    b = flat_finite(b, g.node_count, "objective", "input signal")
+    z = flat_finite(z, g.node_count, "objective", "candidate signal")
     d = z - b
     return float(d @ d) + gamma * float(np.abs(graph_gradient(g, z)).sum())
 

@@ -24,12 +24,18 @@ class ErrorCurve:
 
 
 def l2_error(x, x_true) -> float:
-    """Unnormalized Euclidean norm of the pixel difference."""
+    """Unnormalized Euclidean norm of the pixel difference, also past the 1e154 where its square overflows."""
     a = x.pixels if hasattr(x, "pixels") else np.asarray(x, dtype=np.float64)
     b = x_true.pixels if hasattr(x_true, "pixels") else np.asarray(x_true, dtype=np.float64)
     if a.shape != b.shape:
         raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
-    return float(np.linalg.norm(a - b))
+    with np.errstate(over="ignore"):
+        d = a - b
+        err = float(np.linalg.norm(d))
+    # Rescaled only when the plain norm overflows, so a finite one keeps every bit.
+    if err == np.inf and np.isfinite(peak := float(np.abs(d).max())):
+        err = peak * float(np.linalg.norm(d / peak))
+    return err
 
 
 def profile(x) -> np.ndarray:

@@ -24,6 +24,8 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import eigsh
 from scipy.spatial import cKDTree, distance
 
+from gtvtomo.phantoms import flat_finite
+
 # Relative margin within which k-th and (k+1)-th tree distances count as tied:
 # the tree and cdist round the same distance differently in the last bits.
 _TIE_TOL = 1e-9
@@ -199,18 +201,12 @@ def build_graph(patches: np.ndarray, cfg: PatchConfig) -> PatchGraph:
 
 def graph_gradient(g: PatchGraph, z: np.ndarray) -> np.ndarray:
     """Edge-wise weighted differences ``sqrt(W_ij) * (z_j - z_i)``, i.e. ``D z``."""
-    z = np.asarray(z, dtype=np.float64)
-    if z.shape != (g.node_count,):
-        raise ValueError(f"signal must have length {g.node_count}, got shape {z.shape}")
-    return g.incidence @ z
+    return g.incidence @ flat_finite(z, g.node_count, "graph gradient", "node signal")
 
 
 def graph_divergence(g: PatchGraph, u: np.ndarray) -> np.ndarray:
     """Adjoint of :func:`graph_gradient`, ``D^T u``, applied through the transposed (CSC) view."""
-    u = np.asarray(u, dtype=np.float64)
-    if u.shape != (g.edge_count,):
-        raise ValueError(f"edge signal must have length {g.edge_count}, got shape {u.shape}")
-    return g.incidence.T @ u
+    return g.incidence.T @ flat_finite(u, g.edge_count, "graph divergence", "edge signal")
 
 
 def spectral_norm(g: PatchGraph) -> float:

@@ -176,8 +176,8 @@ def run_experiment(spec: ExperimentSpec, projector=None) -> dict:
     """Execute the two-step pipeline and write artifacts to spec.output_dir.
 
     A ``projector`` whose geometry equals the spec's is used, else one is
-    built.  Returns a summary record with the chosen gamma, the sweep scores
-    and, as ``methods[method][branch]``, that branch's row of ``summary.csv``.
+    built.  Returns a JSON-serializable record with the chosen gamma, the sweep
+    scores and, as ``methods[method][branch]``, that branch's row of ``summary.csv``.
     The record is deterministic for a fixed spec.  Every reconstruction runs
     before the output directory is created, so a spec the data cannot
     satisfy (a patch or neighbor count too large, FBP on one ray) or a
@@ -195,7 +195,7 @@ def run_experiment(spec: ExperimentSpec, projector=None) -> dict:
     graph = build_graph(extract_patches(noisy, pcfg), pcfg)
 
     def fbp_score(z):
-        return l2_error(reconstruct("fbp", Sinogram(spec.rays, spec.num_angles, z), spec)[0], truth)
+        return reconstruct("fbp", Sinogram(spec.rays, spec.num_angles, z), spec, truth=truth)[1].values[0]
 
     gammas = [float(g) for g in spec.gammas]
     best_gamma, best_z, scores = gamma_sweep(noisy.values, graph, gammas, fbp_score, spec.stages["denoise"])
@@ -203,7 +203,7 @@ def run_experiment(spec: ExperimentSpec, projector=None) -> dict:
 
     clean_norm = float(np.linalg.norm(clean.values))
     rel_noisy, rel_denoised = (
-        float(np.linalg.norm(s.values - clean.values)) / clean_norm if clean_norm else 0.0
+        l2_error(s.values, clean.values) / clean_norm if clean_norm else 0.0
         for s in (noisy, denoised)
     )
 
@@ -258,7 +258,6 @@ def run_experiment(spec: ExperimentSpec, projector=None) -> dict:
             )
 
     return {
-        "spec": spec,
         "best_gamma": best_gamma,
         "gamma_scores": list(zip(gammas, scores)),
         "noisy_rel_error": rel_noisy,

@@ -206,16 +206,11 @@ def build_projector(geometry: Geometry) -> ProjectionOperator:
 
 def forward_project(A: ProjectionOperator, x) -> Sinogram:
     """Apply the operator to an image: b = A x."""
-    pixels = x.pixels if hasattr(x, "pixels") else np.asarray(x, dtype=np.float64)
-    if pixels.size != A.cols:
-        raise ValueError(f"image has {pixels.size} pixels but operator expects {A.cols}")
-    g = A.geometry
-    return Sinogram(g.p, g.q, A.matrix @ pixels)
+    pixels = flat_finite(getattr(x, "pixels", x), A.cols, "forward projection", "image pixels")
+    return Sinogram(A.geometry.p, A.geometry.q, A.matrix @ pixels)
 
 
 def back_project(A: ProjectionOperator, s) -> Image:
     """Apply the transpose: x = A^T b (unfiltered backprojection)."""
-    values = s.values if hasattr(s, "values") else np.asarray(s, dtype=np.float64)
-    if values.size != A.rows:
-        raise ValueError(f"sinogram has {values.size} entries but operator expects {A.rows}")
+    values = flat_finite(getattr(s, "values", s), A.rows, "backprojection", "sinogram values")
     return Image(A.geometry.n, A.transpose_matrix @ values)

@@ -374,3 +374,22 @@ class TestFarFromUnitScale:
             images.append(read_image_raw(out).pixels)
         want = 1e11 * images[0]
         assert np.linalg.norm(images[1] - want) <= 1e-12 * np.linalg.norm(want)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("method", ["fbp", "art", "sirt"])
+    def test_reconstruct_truth_at_1e200(self, tmp_path, capsys, method):
+        # the error's square overflows float64; the error itself is printed
+        ph, sino, noisy, scaled = (tmp_path / name for name in ("ph.img", "s.sino", "n.sino", "big.sino"))
+        assert main(["phantom", "--n", "64", "--out", str(ph)]) == 0
+        assert main(["project", "--image", str(ph), "--out", str(sino)]) == 0
+        assert main(["noise", "--sino", str(sino), "--level", "0.08", "--seed", "2", "--out", str(noisy)]) == 0
+        s = read_sinogram_raw(noisy)
+        write_sinogram_raw(Sinogram(s.p, s.q, 1e200 * s.values), scaled)
+        budget = {"fbp": [], "art": ["--art-sweeps", "2"], "sirt": ["--sirt-iterations", "3"]}[method]
+        base = ["reconstruct", "--n", "64", "--method", method, *budget, "--out", str(tmp_path / "r.img")]
+        assert main([*base, "--sino", str(noisy)]) == 0
+        unit = read_image_raw(tmp_path / "r.img").pixels
+        capsys.readouterr()
+        assert main([*base, "--sino", str(scaled), "--truth", str(ph)]) == 0
+        err = float(capsys.readouterr().out.removeprefix("l2 error: "))
+        assert err == pytest.approx(1e200 * np.linalg.norm(unit), rel=1e-9)

@@ -38,6 +38,15 @@ class TestL2Error:
         with pytest.raises(ValueError):
             l2_error(Image(4, np.zeros(16)), Image(5, np.zeros(25)))
 
+    @pytest.mark.filterwarnings("error")
+    def test_no_overflow_past_1e154(self):
+        # the squared norm of this difference overflows float64; the norm itself does not
+        assert l2_error(np.full(16, 1e200), np.zeros(16)) == 4e200
+        rng = np.random.default_rng(3)
+        for _ in range(100):
+            a, b = rng.standard_normal(40), rng.standard_normal(40)
+            assert l2_error(a, b) == float(np.linalg.norm(a - b))
+
 
 class TestProfile:
     def test_constant_image(self):

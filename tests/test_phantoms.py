@@ -1,7 +1,21 @@
 import numpy as np
 import pytest
 
-from gtvtomo import PHANTOM_KINDS, Image, generate_phantom
+from gtvtomo import (
+    PHANTOM_KINDS,
+    DenoiseConfig,
+    Geometry,
+    Image,
+    back_project,
+    build_projector,
+    denoise,
+    forward_project,
+    generate_phantom,
+    graph_divergence,
+    graph_from_edges,
+    graph_gradient,
+    objective,
+)
 from gtvtomo.phantoms import SMOOTH_BUMPS
 
 from conftest import normalized_cross_correlation
@@ -146,3 +160,35 @@ class TestImageType:
         grid = rng.random((6, 6))
         img = Image(6, grid.ravel())
         np.testing.assert_array_equal(img.grid, grid)
+
+
+# Public entry points that take a flat vector: call on v, expected length, owner and name in the messages.
+_GRAPH = graph_from_edges(3, [(0, 1, 1.0), (1, 2, 2.0)])
+_PROJECTOR = build_projector(Geometry(4, 6, 3))
+VECTOR_INPUTS = {
+    "denoise": (lambda v: denoise(v, _GRAPH, DenoiseConfig(1.0)), 3, "denoise", "input signal"),
+    "objective-b": (lambda v: objective(v, np.zeros(3), _GRAPH, 1.0), 3, "objective", "input signal"),
+    "objective-z": (lambda v: objective(np.zeros(3), v, _GRAPH, 1.0), 3, "objective", "candidate signal"),
+    "graph_gradient": (lambda v: graph_gradient(_GRAPH, v), 3, "graph gradient", "node signal"),
+    "graph_divergence": (lambda v: graph_divergence(_GRAPH, v), 2, "graph divergence", "edge signal"),
+    "forward_project": (lambda v: forward_project(_PROJECTOR, v), 16, "forward projection", "image pixels"),
+    "back_project": (lambda v: back_project(_PROJECTOR, v), 18, "backprojection", "sinogram values"),
+}
+
+
+@pytest.mark.parametrize("entry", VECTOR_INPUTS)
+class TestOneVectorCheck:
+    """Every public vector input goes through flat_finite and fails with its messages."""
+
+    def test_nan_entry(self, entry):
+        call, size, owner, name = VECTOR_INPUTS[entry]
+        v = np.ones(size)
+        v[size // 2] = np.nan
+        with pytest.raises(ValueError, match=f"^{owner} {name} must be finite$"):
+            call(v)
+
+    def test_one_entry_short(self, entry):
+        call, size, _, name = VECTOR_INPUTS[entry]
+        message = rf"^{name} must be a flat vector of length {size}, got shape \({size - 1},\)$"
+        with pytest.raises(ValueError, match=message):
+            call(np.ones(size - 1))

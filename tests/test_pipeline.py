@@ -1,4 +1,5 @@
 import csv
+import json
 from pathlib import Path
 
 import numpy as np
@@ -164,6 +165,10 @@ class TestReconstruct:
 
 
 class TestRunExperiment:
+    def test_record_is_json_ready(self, tmp_path):
+        record = run_experiment(small_spec(tmp_path))
+        assert json.loads(json.dumps(record, allow_nan=False))["best_gamma"] == record["best_gamma"]
+
     def test_degenerate_pipeline_identical_branches(self, tmp_path):
         spec = small_spec(tmp_path, noise_level=0.0, gammas=(0.0,))
         summary = run_experiment(spec)
@@ -295,6 +300,7 @@ class TestRunTable1:
             sirt_iterations=20,
         )
         record = run_table1(tmp_path / "t", seeds=[1, 2], base=base)
+        assert json.loads(json.dumps(record, allow_nan=False))["seeds"] == [1, 2]
         row = record["rows"][0]
         cell = row["cells"]["fbp"]["raw"]
         assert len(cell["values"]) == 2
