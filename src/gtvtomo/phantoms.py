@@ -45,7 +45,7 @@ def flat_finite(values, size: int, owner: str, name: str) -> np.ndarray:
     """``values`` as a contiguous float64 vector of ``size`` finite entries, else ValueError.
 
     The package's one vector check, behind :class:`Image`, ``Sinogram``, ``denoise``, ``objective``,
-    ``graph_gradient``, ``graph_divergence``, ``forward_project`` and ``back_project``.
+    ``graph_gradient``, ``graph_divergence``, ``forward_project``, ``back_project``, ``art`` and ``sirt``.
     """
     values = np.ascontiguousarray(values, dtype=np.float64)
     if values.ndim != 1 or values.size != size:

@@ -49,8 +49,8 @@ def default_gamma_grid() -> list[float]:
 class ExperimentSpec:
     """Everything one pipeline run needs; defaults match the desk-scale setup.
 
-    Each stage setting defaults to its config class's default, and
-    :attr:`stages` holds the settings of each stage, built and so checked with the spec.
+    Stage settings default to their config classes' defaults; :attr:`stages` holds them, built and so
+    checked with the spec.  ``gammas`` and ``methods`` are stored as tuples, so a spec hashes.
     """
 
     phantom: str = "shepp-logan"
@@ -75,6 +75,8 @@ class ExperimentSpec:
     output_dir: str = "out"
 
     def __post_init__(self):
+        object.__setattr__(self, "gammas", tuple(float(g) for g in self.gammas))
+        object.__setattr__(self, "methods", tuple(str(m) for m in self.methods))
         if self.phantom not in PHANTOM_KINDS:
             raise ValueError(f"unknown phantom {self.phantom!r}; expected one of {PHANTOM_KINDS}")
         if not self.methods:
@@ -154,11 +156,20 @@ def parse_spec_file(path) -> dict:
     return values
 
 
+def _projector(geometry: Geometry, projector):
+    """``projector`` if it has ``geometry``, a new one if it is None; any other geometry is a ValueError."""
+    if projector is None:
+        return build_projector(geometry)
+    if projector.geometry != geometry:
+        raise ValueError(f"projector has {projector.geometry} but the spec asks for {geometry}")
+    return projector
+
+
 def reconstruct(method: str, sino: Sinogram, spec: ExperimentSpec, projector=None, truth=None):
     """Reconstruct with one method and the spec's geometry and settings for it.
 
-    ``sino`` must have the spec's ray and angle counts.  FBP builds no
-    projector; ART and SIRT build one unless ``projector`` is given.  Returns
+    ``sino`` must have the spec's ray and angle counts and ``projector``, if given, its
+    geometry.  FBP uses no projector; ART and SIRT build one if none is given.  Returns
     ``(Image, ErrorCurve)`` for every method: given a ``truth`` image, the
     curve holds the l2 error after each ART sweep or SIRT iteration, or FBP's
     one error; without one it is empty.
@@ -167,7 +178,7 @@ def reconstruct(method: str, sino: Sinogram, spec: ExperimentSpec, projector=Non
     if method == "fbp":
         img = fbp(sino, geometry, cfg)
         return img, ErrorCurve(np.array([l2_error(img, truth)] if truth is not None else []))
-    A = projector if projector is not None else build_projector(geometry)
+    A = _projector(geometry, projector)
     tracker = (lambda xv: l2_error(xv, truth)) if truth is not None else None
     return (art if method == "art" else sirt)(A, sino.values, cfg, tracker=tracker)
 
@@ -175,7 +186,7 @@ def reconstruct(method: str, sino: Sinogram, spec: ExperimentSpec, projector=Non
 def run_experiment(spec: ExperimentSpec, projector=None) -> dict:
     """Execute the two-step pipeline and write artifacts to spec.output_dir.
 
-    A ``projector`` whose geometry equals the spec's is used, else one is
+    A ``projector`` must have the spec's geometry; without one, one is
     built.  Returns a JSON-serializable record with the chosen gamma, the sweep
     scores and, as ``methods[method][branch]``, that branch's row of ``summary.csv``.
     The record is deterministic for a fixed spec.  Every reconstruction runs
@@ -185,8 +196,7 @@ def run_experiment(spec: ExperimentSpec, projector=None) -> dict:
     per iterative method and branch, at every budget.
     """
     truth = generate_phantom(spec.phantom, spec.n, spec.seed)
-    geometry = spec.stages["geometry"]
-    A = projector if projector is not None and projector.geometry == geometry else build_projector(geometry)
+    A = _projector(spec.stages["geometry"], projector)
 
     clean = forward_project(A, truth)
     noisy = add_noise(clean, NoiseSpec(spec.noise_level, spec.seed + 1))
@@ -197,8 +207,7 @@ def run_experiment(spec: ExperimentSpec, projector=None) -> dict:
     def fbp_score(z):
         return reconstruct("fbp", Sinogram(spec.rays, spec.num_angles, z), spec, truth=truth)[1].values[0]
 
-    gammas = [float(g) for g in spec.gammas]
-    best_gamma, best_z, scores = gamma_sweep(noisy.values, graph, gammas, fbp_score, spec.stages["denoise"])
+    best_gamma, best_z, scores = gamma_sweep(noisy.values, graph, spec.gammas, fbp_score, spec.stages["denoise"])
     denoised = Sinogram(spec.rays, spec.num_angles, best_z)
 
     clean_norm = float(np.linalg.norm(clean.values))
@@ -217,7 +226,7 @@ def run_experiment(spec: ExperimentSpec, projector=None) -> dict:
     write_sinogram_raw(clean, outdir / "sino_clean.sino")
     write_sinogram_raw(noisy, outdir / "sino_noisy.sino")
     write_sinogram_raw(denoised, outdir / "sino_denoised.sino")
-    write_csv(zip(gammas, scores), outdir / "gamma_scores.csv", ("gamma", "score"))
+    write_csv(zip(spec.gammas, scores), outdir / "gamma_scores.csv", ("gamma", "score"))
     write_profile_csv(profile(truth), outdir / "profile_truth.csv")
 
     results: dict = {}
@@ -259,7 +268,7 @@ def run_experiment(spec: ExperimentSpec, projector=None) -> dict:
 
     return {
         "best_gamma": best_gamma,
-        "gamma_scores": list(zip(gammas, scores)),
+        "gamma_scores": list(zip(spec.gammas, scores)),
         "noisy_rel_error": rel_noisy,
         "denoised_rel_error": rel_denoised,
         "methods": results,

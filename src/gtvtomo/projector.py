@@ -193,12 +193,12 @@ def build_projector(geometry: Geometry) -> ProjectionOperator:
         lengths = np.diff(ends, axis=1)
         mid = 0.5 * (ends[:, :-1] + ends[:, 1:])
         # The grouping of these sums is part of the matrix bytes; keep it.
-        cols = np.floor((t * c - mid * s) + h).astype(np.int64)
-        rows = np.floor(h - (t * s + mid * c)).astype(np.int64)
+        # Cells are masked in float and only the kept ones cast: a far-off ray's cell overflows int64.
+        cols = np.floor((t * c - mid * s) + h)
+        rows = np.floor(h - (t * s + mid * c))
         keep = (lengths > _CROSSING_TOL) & (cols >= 0) & (cols < n) & (rows >= 0) & (rows < n)
-        entries.append(
-            (np.broadcast_to(ray_rows + k, keep.shape)[keep], (rows * n + cols)[keep], lengths[keep])
-        )
+        cells = (rows[keep] * n + cols[keep]).astype(np.int64)
+        entries.append((np.broadcast_to(ray_rows + k, keep.shape)[keep], cells, lengths[keep]))
     row_idx, col_idx, data = (np.concatenate(parts) for parts in zip(*entries))
     matrix = sp.coo_matrix((data, (row_idx, col_idx)), shape=(p * q, n * n)).tocsr()
     return ProjectionOperator(matrix, geometry)

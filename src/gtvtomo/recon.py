@@ -20,7 +20,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from gtvtomo.metrics import ErrorCurve
-from gtvtomo.phantoms import Image
+from gtvtomo.phantoms import Image, flat_finite
 from gtvtomo.projector import Geometry, ProjectionOperator, Sinogram
 
 FBP_FILTERS = ("ram-lak", "shepp-logan", "cosine")
@@ -132,15 +132,13 @@ def fbp(s: Sinogram, geometry: Geometry, cfg: FbpConfig = FbpConfig()) -> Image:
 def _block_iterate(A: ProjectionOperator, b, blocks, c: float, steps: int, tracker) -> tuple[Image, ErrorCurve]:
     """From ``x = 0``, ``steps`` times apply each row block ``B`` in turn with relaxation ``c``.
 
-    One block is one step ``x += B^T (c * (b_B - B x) / ||a_i||^2)``.  Raises
-    :class:`DivergenceError` if the largest iterate entry passes 1e12 times its
-    value after the first step, a bound that scales with the data and is
-    compared without overflow; non-None tracker
-    returns on a copy of each step's iterate form the curve.
+    One block is one step ``x += B^T (c * (b_B - B x) / ||a_i||^2)``, after ``b``
+    passes :func:`~gtvtomo.phantoms.flat_finite`.  Raises :class:`DivergenceError`
+    if the largest iterate entry passes 1e12 times its value after the first
+    step, a bound that scales with the data and is compared without overflow;
+    non-None tracker returns on a copy of each step's iterate form the curve.
     """
-    b = np.asarray(b, dtype=np.float64)
-    if b.size != A.rows:
-        raise ValueError(f"data has {b.size} entries but operator has {A.rows} rows")
+    b = flat_finite(b, A.rows, "reconstruction", "data")
     # Blocks are gathered per call, not cached on the operator: a cached copy raised peak RSS.
     gathered = []
     for rows in blocks:

@@ -12,7 +12,7 @@ from gtvtomo.patch_graph import PatchConfig
 from gtvtomo.pipeline import _coerce, parse_spec_file
 from gtvtomo.projector import Geometry
 from gtvtomo.recon import ArtConfig, FbpConfig, SirtConfig
-from gtvtomo.serialize import read_image_raw, read_sinogram_raw, write_sinogram_raw
+from gtvtomo.serialize import read_image_raw, read_sinogram_raw, write_image_pgm, write_sinogram_raw
 
 # Option strings of every subcommand; the experiment flags are derived from
 # ExperimentSpec, so a new or renamed spec field shows up here.
@@ -393,3 +393,15 @@ class TestFarFromUnitScale:
         assert main([*base, "--sino", str(scaled), "--truth", str(ph)]) == 0
         err = float(capsys.readouterr().out.removeprefix("l2 error: "))
         assert err == pytest.approx(1e200 * np.linalg.norm(unit), rel=1e-9)
+
+
+def test_reconstruct_writes_pgm_preview(tmp_path):
+    ph, sino, out, pgm = (tmp_path / name for name in ("ph.img", "s.sino", "r.img", "r.pgm"))
+    assert main(["phantom", "--n", "16", "--out", str(ph)]) == 0
+    assert main(["project", "--image", str(ph), "--rays", "23", "--num-angles", "10", "--out", str(sino)]) == 0
+    assert main(["reconstruct", "--sino", str(sino), "--n", "16", "--out", str(out), "--pgm", str(pgm)]) == 0
+    blob = pgm.read_bytes()
+    header = b"P5\n16 16\n65535\n"
+    assert blob.startswith(header) and len(blob) == len(header) + 16 * 16 * 2
+    write_image_pgm(read_image_raw(out), tmp_path / "want.pgm")
+    assert blob == (tmp_path / "want.pgm").read_bytes()

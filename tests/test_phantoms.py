@@ -1,12 +1,21 @@
+import re
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from gtvtomo import (
     PHANTOM_KINDS,
     DenoiseConfig,
+    ErrorCurve,
     Geometry,
     Image,
+    PatchConfig,
+    PatchGraph,
+    ProjectionOperator,
+    Sinogram,
     back_project,
+    build_graph,
     build_projector,
     denoise,
     forward_project,
@@ -192,3 +201,26 @@ class TestOneVectorCheck:
         message = rf"^{name} must be a flat vector of length {size}, got shape \({size - 1},\)$"
         with pytest.raises(ValueError, match=message):
             call(np.ones(size - 1))
+
+
+# Constructor and builder checks on shape, order and range, each with its exact message.
+SHAPE_CHECKS = {
+    "edge-shapes": (lambda: PatchGraph(3, [0, 1], [1], [1.0, 1.0]), "edge arrays must have identical shapes"),
+    "edge-order": (lambda: PatchGraph(3, [1], [0], [1.0]), "edges must be stored with i < j"),
+    "edge-range": (lambda: PatchGraph(3, [0], [3], [1.0]), "edge endpoints out of range"),
+    "patches-2d": (lambda: build_graph(np.zeros(5), PatchConfig(3, 1)), "patches must be a 2-D array, got shape (5,)"),
+    "image-side": (lambda: Image(0, []), "image side must be positive, got 0"),
+    "sinogram-shape": (lambda: Sinogram(0, 3, []), "invalid sinogram shape p=0, q=3"),
+    "operator-shape": (
+        lambda: ProjectionOperator(sp.csr_matrix((5, 16)), Geometry(4, 6, 3)),
+        "matrix shape (5, 16) does not match geometry (18 rows, 16 columns)",
+    ),
+    "curve-1d": (lambda: ErrorCurve(np.zeros((2, 2))), "curve values must be 1-D, got shape (2, 2)"),
+}
+
+
+@pytest.mark.parametrize("case", SHAPE_CHECKS)
+def test_shape_check_message(case):
+    call, message = SHAPE_CHECKS[case]
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()

@@ -1,5 +1,6 @@
 import csv
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -8,7 +9,7 @@ import pytest
 from gtvtomo import ExperimentSpec, generate_phantom, l2_error, pipeline, run_experiment, run_table1
 from gtvtomo.cli import main
 from gtvtomo.pipeline import TABLE1_ROWS, default_gamma_grid, parse_spec_file, reconstruct
-from gtvtomo.projector import build_projector, forward_project
+from gtvtomo.projector import Geometry, build_projector, forward_project
 from gtvtomo.recon import DivergenceError
 from gtvtomo.serialize import (
     read_curve_csv,
@@ -150,6 +151,13 @@ class TestSpecFile:
 class TestReconstruct:
     """Every method returns ``(Image, ErrorCurve)``: one error per step given a truth, none without."""
 
+    def test_projector_of_another_geometry_rejected(self, tmp_path):
+        spec = small_spec(tmp_path)
+        other = build_projector(Geometry(16, 23, 10, 40.0))
+        sino = forward_project(build_projector(spec.stages["geometry"]), generate_phantom(spec.phantom, spec.n))
+        with pytest.raises(ValueError, match=r"^projector has Geometry\(.*detector_span=40\.0\) but the spec asks"):
+            reconstruct("art", sino, spec, other)
+
     @pytest.mark.parametrize("method", ["fbp", "art", "sirt"])
     def test_one_result_contract(self, tmp_path, method):
         spec = small_spec(tmp_path, art_sweeps=4, sirt_iterations=6)
@@ -227,6 +235,13 @@ class TestRunExperiment:
             assert float(r["final_error"]) == rec["final_error"]
             assert float(r["min_error"]) == rec["min_error"]
             assert r["argmin_iteration"] == str(rec["argmin_iteration"])
+
+    def test_projector_of_another_geometry_leaves_no_output_dir(self, tmp_path):
+        spec = small_spec(tmp_path)
+        other = build_projector(Geometry(16, 23, 10, 40.0))
+        with pytest.raises(ValueError, match=f"but the spec asks for {re.escape(repr(spec.stages['geometry']))}$"):
+            run_experiment(spec, projector=other)
+        assert not Path(spec.output_dir).exists()
 
     def test_divergence_leaves_no_output_dir(self, tmp_path, monkeypatch):
         def diverge(*args, **kwargs):
@@ -321,6 +336,21 @@ class TestRunTable1:
             for m, cells in row["cells"].items()
             for br, c in cells.items()
         ]
+
+    def test_list_valued_base_spec(self, tmp_path):
+        """A spec given lists is stored as tuples, so it runs like, equals and hashes like the tuple spec."""
+        small = dict(n=16, rays=23, num_angles=10, neighbors=4, art_sweeps=6, sirt_iterations=20)
+        listed = ExperimentSpec(gammas=[0, 0.4], methods=["fbp", "art"], **small)
+        tupled = ExperimentSpec(gammas=(0.0, 0.4), methods=("fbp", "art"), **small)
+        dirs = tmp_path / "listed", tmp_path / "tupled"
+        for out, base in zip(dirs, (listed, tupled)):
+            run_table1(out, seeds=[1], base=base)
+        files = [sorted(p.relative_to(d) for p in d.rglob("*") if p.is_file()) for d in dirs]
+        assert files[0] == files[1] and len(files[0]) > 2
+        for rel in files[0]:
+            assert (dirs[0] / rel).read_bytes() == (dirs[1] / rel).read_bytes(), rel
+        assert listed == tupled and hash(listed) == hash(tupled)
+        assert type(listed.methods) is tuple and [type(g) for g in listed.gammas] == [float, float]
 
     def test_requires_seeds(self, tmp_path):
         with pytest.raises(ValueError):

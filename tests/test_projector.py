@@ -115,6 +115,14 @@ class TestRayTracing:
         assert np.any(A.row_norms_sq == 0.0)
         assert A.rows == 15 * 4  # zero rows are kept
 
+    @pytest.mark.filterwarnings("error")
+    def test_huge_span_keeps_only_the_centre_ray(self):
+        # rays 1e20/22 apart: every ray but the centre one lies far past int64 cell indices
+        A = build_projector(Geometry(16, 23, 10, 1e20)).matrix
+        centre = build_projector(Geometry(16, 1, 10)).matrix
+        assert (A[110:120] != centre).nnz == 0 and A[110:120].nnz == centre.nnz > 0
+        assert A.nnz == centre.nnz
+
 
 def square_chord(t: np.ndarray, theta: float, h: float) -> np.ndarray:
     """Length of the line {t*(cos, sin) + u*(-sin, cos)} inside the square [-h, h]^2.

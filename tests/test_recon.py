@@ -15,6 +15,8 @@ from gtvtomo import (
     art,
     build_projector,
     fbp,
+    forward_project,
+    generate_phantom,
     l2_error,
     sirt,
 )
@@ -248,6 +250,37 @@ class TestArt:
         for lam in (0.0, 2.0, -0.5, 2.5):
             with pytest.raises(ValueError):
                 ArtConfig(lam=lam)
+
+
+SOLVERS = {"art": (art, ArtConfig(lam=1.0, sweeps=3)), "sirt": (sirt, SirtConfig(lam=1.0, iterations=3))}
+
+
+@pytest.mark.parametrize("method", SOLVERS)
+class TestDataCheck:
+    """ART and SIRT take their data through flat_finite: bad data fail before the first step."""
+
+    def test_sinogram_grid_rejected(self, method):
+        solve, cfg = SOLVERS[method]
+        A = build_projector(Geometry(16, 23, 10))
+        sino = forward_project(A, generate_phantom("shepp-logan", 16))
+        with pytest.raises(ValueError, match=r"^data must be a flat vector of length 230, got shape \(23, 10\)$"):
+            solve(A, sino.grid, cfg)
+
+    def test_nan_on_active_row_fails_before_any_step(self, method):
+        solve, cfg = SOLVERS[method]
+        A, _, b = well_posed_system()
+        b[A.active_rows[0]] = np.nan
+        calls = []
+        with pytest.raises(ValueError, match="^reconstruction data must be finite$"):
+            solve(A, b, cfg, tracker=lambda xv: calls.append(1))
+        assert calls == []
+
+    def test_inf_on_zero_norm_row_rejected(self, method):
+        solve, cfg = SOLVERS[method]
+        M = np.diag([1.0, 0.0, 1.0, 1.0])
+        A = operator_from_matrix(M, 2, 2, 2)
+        with pytest.raises(ValueError, match="^reconstruction data must be finite$"):
+            solve(A, np.array([2.0, np.inf, 3.0, 4.0]), cfg)
 
 
 def dense_sirt_radius(M, norms_sq):
