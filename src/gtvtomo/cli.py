@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import sys
 from dataclasses import fields, replace
+from pathlib import Path
 
 from gtvtomo.gtv_denoise import denoise
 from gtvtomo.noise import NoiseSpec, add_noise
@@ -257,21 +258,14 @@ def _cmd_reconstruct(args) -> int:
 
 def _cmd_experiment(args) -> int:
     spec = _spec_from_args(args, **(parse_spec_file(args.spec) if args.spec else {}))
-    summary = run_experiment(spec)
-    print(f"best gamma: {summary['best_gamma']!r}")
-    for method, branches in summary["methods"].items():
-        for branch, rec in branches.items():
-            print(
-                f"{method}/{branch}: final={rec['final_error']:.6f} "
-                f"min={rec['min_error']:.6f} argmin={rec['argmin_iteration']}"
-            )
+    run_experiment(spec)
+    print(Path(spec.output_dir, "summary.txt").read_text(), end="")
     return 0
 
 
 def _cmd_table1(args) -> int:
     record = run_table1(args.out_dir, args.seeds, _spec_from_args(args), noise_override=args.noise_override)
-    with open(record["txt"]) as fh:
-        print(fh.read())
+    print(Path(record["txt"]).read_text())
     return 0
 
 

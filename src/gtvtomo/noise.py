@@ -11,6 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from gtvtomo.metrics import l2_norm
 from gtvtomo.projector import Sinogram
 
 
@@ -28,9 +29,8 @@ class NoiseSpec:
 
 def add_noise(s: Sinogram, spec: NoiseSpec) -> Sinogram:
     """Return ``s`` plus zero-mean Gaussian noise at the given relative level."""
-    s_norm = np.linalg.norm(s.values)
-    if spec.relative_level == 0.0 or s_norm == 0.0:
+    if spec.relative_level == 0.0:
         return Sinogram(s.p, s.q, s.values.copy())
     g = np.random.default_rng(spec.seed).standard_normal(s.values.size)
-    e = spec.relative_level * (s_norm / np.linalg.norm(g)) * g
+    e = spec.relative_level * (l2_norm(s.values) / l2_norm(g)) * g
     return Sinogram(s.p, s.q, s.values + e)

@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from gtvtomo.gtv_denoise import DenoiseConfig, gamma_sweep
-from gtvtomo.metrics import ErrorCurve, l2_error, min_error, profile
+from gtvtomo.metrics import ErrorCurve, l2_error, l2_norm, min_error, profile
 from gtvtomo.noise import NoiseSpec, add_noise
 from gtvtomo.patch_graph import PatchConfig, build_graph, extract_patches
 from gtvtomo.phantoms import PHANTOM_KINDS, generate_phantom
@@ -210,7 +210,7 @@ def run_experiment(spec: ExperimentSpec, projector=None) -> dict:
     best_gamma, best_z, scores = gamma_sweep(noisy.values, graph, spec.gammas, fbp_score, spec.stages["denoise"])
     denoised = Sinogram(spec.rays, spec.num_angles, best_z)
 
-    clean_norm = float(np.linalg.norm(clean.values))
+    clean_norm = l2_norm(clean.values)
     rel_noisy, rel_denoised = (
         l2_error(s.values, clean.values) / clean_norm if clean_norm else 0.0
         for s in (noisy, denoised)

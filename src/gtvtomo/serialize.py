@@ -3,7 +3,7 @@
 Raw formats carry a one-line ASCII header (``IMG n`` or ``SINO p q``)
 followed by little-endian float64 payload, and round-trip exactly.  PGM is
 lossy (scaled to the 16-bit range) and intended only for viewing.  Every
-CSV but the headerless sinogram view goes through :func:`write_csv`.
+binary file goes through :func:`_write_raw`, every CSV through :func:`write_csv`.
 """
 
 from __future__ import annotations
@@ -17,14 +17,14 @@ from gtvtomo.projector import Sinogram
 
 
 def write_image_raw(img: Image, path) -> None:
-    _write_raw(path, f"IMG {img.n}", img.pixels)
+    _write_raw(path, f"IMG {img.n}", img.pixels.astype("<f8"))
 
 
-def _write_raw(path, header: str, values: np.ndarray) -> None:
-    """Header line ``magic d1 .. dk``, then the values as little-endian float64."""
+def _write_raw(path, header: str, payload: np.ndarray) -> None:
+    """An ASCII header and a newline, then the payload's bytes as stored: ``<f8`` for IMG and SINO, ``>u2`` for PGM."""
     with open(path, "wb") as fh:
         fh.write(f"{header}\n".encode("ascii"))
-        fh.write(values.astype("<f8").tobytes())
+        fh.write(payload.tobytes())
 
 
 def _read_raw(path, magic: str, ndims: int) -> tuple[list[int], np.ndarray]:
@@ -52,7 +52,7 @@ def read_image_raw(path) -> Image:
 
 
 def write_sinogram_raw(s: Sinogram, path) -> None:
-    _write_raw(path, f"SINO {s.p} {s.q}", s.values)
+    _write_raw(path, f"SINO {s.p} {s.q}", s.values.astype("<f8"))
 
 
 def read_sinogram_raw(path) -> Sinogram:
@@ -66,17 +66,12 @@ def write_image_pgm(img: Image, path) -> None:
     grid = img.grid
     lo, hi = grid.min(), grid.max()
     scaled = np.zeros_like(grid) if hi <= lo else (grid - lo) / (hi - lo) * maxval
-    quantized = np.rint(scaled).astype(">u2")
-    with open(path, "wb") as fh:
-        fh.write(f"P5\n{img.n} {img.n}\n{maxval}\n".encode("ascii"))
-        fh.write(quantized.tobytes())
+    _write_raw(path, f"P5\n{img.n} {img.n}\n{maxval}", np.rint(scaled).astype(">u2"))
 
 
 def write_sinogram_csv(s: Sinogram, path) -> None:
     """One row per detector bin, one column per angle; no header, LF line ends."""
-    with open(path, "w", newline="") as fh:
-        for row in s.grid:
-            fh.write(",".join(repr(float(v)) for v in row) + "\n")
+    write_csv(s.grid.tolist(), path, None)
 
 
 def write_csv(rows, path, header) -> None:
@@ -84,11 +79,13 @@ def write_csv(rows, path, header) -> None:
 
     ``csv.writer`` writes each float cell (Python or numpy float64) as its
     shortest round-trip text, the same as ``repr(float(v))``, and every other
-    cell as ``str``.
+    cell as ``str``.  A ``header`` of None (the sinogram view) writes no header
+    row and ends rows in LF.
     """
     with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(header)
+        w = csv.writer(fh, lineterminator="\r\n" if header is not None else "\n")
+        if header is not None:
+            w.writerow(header)
         w.writerows(rows)
 
 

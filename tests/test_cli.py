@@ -1,5 +1,6 @@
 import argparse
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -74,14 +75,18 @@ def subparsers():
 
 
 @pytest.fixture
-def captured_specs(monkeypatch):
-    """Replace run_experiment in the CLI with a stub that records its spec."""
+def captured_specs(monkeypatch, tmp_path):
+    """Replace run_experiment in the CLI with a stub that records its spec and, as a run does, writes summary.txt."""
     specs = []
 
     def fake_run(spec):
         specs.append(spec)
+        out = Path(spec.output_dir)
+        out.mkdir(parents=True, exist_ok=True)
+        (out / "summary.txt").write_text("summary\n")
         return {"best_gamma": 0.0, "methods": {}}
 
+    monkeypatch.chdir(tmp_path)  # the default output directory is relative
     monkeypatch.setattr(cli, "run_experiment", fake_run)
     return specs
 

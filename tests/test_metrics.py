@@ -1,5 +1,10 @@
+import math
+import re
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gtvtomo import (
     ErrorCurve,
@@ -8,6 +13,9 @@ from gtvtomo import (
     min_error,
     profile,
 )
+from gtvtomo.metrics import l2_norm
+
+SCALES = [1e-160, 1e-200, 1e-300, 1e200]
 
 
 class TestL2Error:
@@ -46,6 +54,42 @@ class TestL2Error:
         for _ in range(100):
             a, b = rng.standard_normal(40), rng.standard_normal(40)
             assert l2_error(a, b) == float(np.linalg.norm(a - b))
+
+
+class TestL2Norm:
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("scale", SCALES)
+    def test_exact_at_extreme_scales(self, scale):
+        # the plain norm squares these entries into underflow (0 or subnormal) or overflow (inf)
+        v = np.full(16, scale)
+        assert l2_norm(v) == pytest.approx(4 * scale, rel=1e-15, abs=0)
+        assert l2_error(v, np.zeros(16)) == pytest.approx(4 * scale, rel=1e-15, abs=0)
+        w = scale * np.random.default_rng(5).standard_normal(8)
+        exact = math.hypot(*w)
+        assert l2_norm(w) == pytest.approx(exact, rel=1e-15, abs=0)
+        assert l2_error(w, np.zeros(8)) == pytest.approx(exact, rel=1e-15, abs=0)
+
+    def test_zero_empty_and_non_finite(self):
+        assert l2_norm(np.zeros(5)) == 0.0
+        assert l2_norm(np.array([])) == 0.0
+        assert l2_norm(np.array([1.0, np.inf])) == np.inf
+        assert np.isnan(l2_norm(np.array([1.0, np.nan])))
+
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(
+        st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=20),
+        st.sampled_from([1.0, *SCALES]),
+    )
+    def test_plain_norm_bits_wherever_in_range(self, values, scale):
+        with np.errstate(over="ignore"):
+            v = np.array(values) * scale
+            v = v[np.isfinite(v)]
+            plain = float(np.linalg.norm(v))
+        if 2.0**-511 <= plain < np.inf:
+            assert l2_norm(v) == plain
+            assert l2_error(v, np.zeros(v.size)) == plain
+        elif math.hypot(*v) >= np.finfo(np.float64).tiny:  # below it the result itself is subnormal
+            assert l2_norm(v) == pytest.approx(math.hypot(*v), rel=1e-14, abs=0)
 
 
 class TestProfile:
@@ -96,3 +140,17 @@ class TestMinError:
             ErrorCurve(np.array([1.0, -2.0]))
         with pytest.raises(ValueError):
             ErrorCurve(np.array([1.0, np.inf]))
+
+
+class TestErrorCurve:
+    @pytest.mark.parametrize(
+        "values, message",
+        [
+            (np.zeros((2, 2)), "values must be a flat vector of length 4, got shape (2, 2)"),
+            ([1.0, np.nan], "curve values must be finite"),
+            ([1.0, -2.0], "curve values must be nonnegative"),
+        ],
+    )
+    def test_curve_messages(self, values, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            ErrorCurve(values)

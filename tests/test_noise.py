@@ -1,7 +1,17 @@
+import math
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import gtvtomo
 from gtvtomo import NoiseSpec, Sinogram, add_noise
+from gtvtomo.serialize import read_sinogram_raw, write_sinogram_raw
+
+SRC = Path(gtvtomo.__file__).resolve().parents[1]
 
 
 def random_sinogram(p, q, seed=0):
@@ -52,3 +62,30 @@ class TestAddNoise:
     def test_negative_seed_rejected(self):
         with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
             NoiseSpec(0.1, seed=-1)
+
+
+def realized_level(noisy, clean):
+    """||noisy - clean|| / ||clean||, from math.hypot, which neither under- nor overflows."""
+    return math.hypot(*(noisy.values - clean.values)) / math.hypot(*clean.values)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("scale", [1e-200, 1e200])
+def test_exact_level_at_extreme_scales(sino64_clean, scale):
+    # the plain norm of these values underflows to 0 or overflows to inf
+    s = Sinogram(sino64_clean.p, sino64_clean.q, scale * sino64_clean.values)
+    out = add_noise(s, NoiseSpec(0.08, seed=1))
+    assert not np.array_equal(out.values, s.values)
+    assert realized_level(out, s) == pytest.approx(0.08, abs=1e-12)
+
+
+@pytest.mark.parametrize("scale", [1e-200, 1e200])
+def test_noise_command_at_extreme_scales(tmp_path, sino64_clean, scale):
+    clean, noisy = tmp_path / "clean.sino", tmp_path / "noisy.sino"
+    s = Sinogram(sino64_clean.p, sino64_clean.q, scale * sino64_clean.values)
+    write_sinogram_raw(s, clean)
+    argv = [sys.executable, "-W", "error", "-m", "gtvtomo.cli", "noise", "--sino", str(clean), "--level", "0.08",
+            "--seed", "1", "--out", str(noisy)]
+    proc = subprocess.run(argv, env={**os.environ, "PYTHONPATH": str(SRC)}, capture_output=True, text=True)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert realized_level(read_sinogram_raw(noisy), s) == pytest.approx(0.08, abs=1e-12)

@@ -215,7 +215,7 @@ SHAPE_CHECKS = {
         lambda: ProjectionOperator(sp.csr_matrix((5, 16)), Geometry(4, 6, 3)),
         "matrix shape (5, 16) does not match geometry (18 rows, 16 columns)",
     ),
-    "curve-1d": (lambda: ErrorCurve(np.zeros((2, 2))), "curve values must be 1-D, got shape (2, 2)"),
+    "curve-1d": (lambda: ErrorCurve(np.zeros((2, 2))), "values must be a flat vector of length 4, got shape (2, 2)"),
 }
 
 

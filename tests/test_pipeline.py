@@ -464,6 +464,13 @@ class TestCli:
         assert code == 0
         assert (out / "summary.csv").exists()
 
+    def test_experiment_prints_its_summary(self, tmp_path, capsys):
+        out = tmp_path / "expdir"
+        argv = ["experiment", "--n", "16", "--rays", "23", "--num-angles", "10", "--neighbors", "4",
+                "--gammas", "0,0.5", "--methods", "fbp,sirt", "--sirt-iterations", "5", "--out-dir", str(out)]
+        assert main(argv) == 0
+        assert capsys.readouterr().out == (out / "summary.txt").read_text()
+
     def test_invalid_arguments_exit_2(self, tmp_path):
         img = tmp_path / "ph.img"
         assert main(["phantom", "--kind", "smooth", "--n", "4", "--out", str(img)]) == 2
