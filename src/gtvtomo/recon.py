@@ -3,9 +3,11 @@
 FBP applies two linear operators, a ramp-filter matrix and a CSR
 backprojector, built once per geometry and setting and cached.  ART and
 SIRT consume the sparse :class:`~gtvtomo.projector.ProjectionOperator` and
-share one block row-projection step.  ART's relaxation scales each row
-projection and SIRT's is in units of ``1/rho``, the inverse spectral radius
-of its summed projections (see :func:`sirt`), so both converge for
+share one block row-projection step, which calls scipy's compiled CSR and CSC
+matvec kernels directly into two buffers reused across steps; its products
+are bit for bit those of ``B @ x`` and ``B.T @ r``.  ART's relaxation scales
+each row projection and SIRT's is in units of ``1/rho``, the inverse spectral
+radius of its summed projections (see :func:`sirt`), so both converge for
 relaxations in (0, 2).  A tracker callback gets the iterate after each ART
 sweep / SIRT iteration, and its returns form an
 :class:`~gtvtomo.metrics.ErrorCurve`, so ground truth never enters the solvers.
@@ -18,6 +20,10 @@ from functools import lru_cache
 
 import numpy as np
 import scipy.sparse as sp
+
+# The kernels that ``B @ x`` and ``B.T @ r`` end in, called without scipy's
+# per-call dispatch; the public-API variants of the block step did not pay.
+from scipy.sparse._sparsetools import csc_matvec, csr_matvec
 
 from gtvtomo.metrics import ErrorCurve
 from gtvtomo.phantoms import Image, flat_finite
@@ -133,22 +139,38 @@ def _block_iterate(A: ProjectionOperator, b, blocks, c: float, steps: int, track
     """From ``x = 0``, ``steps`` times apply each row block ``B`` in turn with relaxation ``c``.
 
     One block is one step ``x += B^T (c * (b_B - B x) / ||a_i||^2)``, after ``b``
-    passes :func:`~gtvtomo.phantoms.flat_finite`.  Raises :class:`DivergenceError`
-    if the largest iterate entry passes 1e12 times its value after the first
-    step, a bound that scales with the data and is compared without overflow;
-    non-None tracker returns on a copy of each step's iterate form the curve.
+    passes :func:`~gtvtomo.phantoms.flat_finite`.  ``B x`` and ``B^T r`` run on
+    scipy's compiled ``csr_matvec`` and ``csc_matvec`` (a CSR block's arrays are
+    its transpose's CSC arrays), each into a buffer allocated once per call and
+    zeroed before the product, so the products and their summation order are
+    bit for bit those of ``B @ x`` and ``B.T @ r``.  Raises
+    :class:`DivergenceError` if the largest iterate entry passes 1e12 times its
+    value after the first step, a bound that scales with the data and is
+    compared without overflow; non-None tracker returns on a copy of each
+    step's iterate form the curve.
     """
     b = flat_finite(b, A.rows, "reconstruction", "data")
     # Blocks are gathered per call, not cached on the operator: a cached copy raised peak RSS.
     gathered = []
     for rows in blocks:
         B = A.matrix[rows]
-        gathered.append((B, B.T, b[rows], A.row_norms_sq[rows]))
+        gathered.append((rows.size, B.indptr, B.indices, B.data, b[rows], A.row_norms_sq[rows]))
     x = np.zeros(A.cols)
+    dtype = np.result_type(A.matrix.dtype, x.dtype)  # the dtype ``B @ x`` returns
+    row_buf = np.empty(max((rows.size for rows in blocks), default=0), dtype)
+    col_buf = np.empty(A.cols, dtype)
     tracked = []
     for step in range(steps):
-        for B, B_t, b_B, norms_B in gathered:
-            x += B_t @ (c * (b_B - B @ x) / norms_B)
+        for m, indptr, indices, data, b_B, norms_B in gathered:
+            r = row_buf[:m]
+            r.fill(0.0)
+            csr_matvec(m, A.cols, indptr, indices, data, x, r)
+            np.subtract(b_B, r, out=r)
+            r *= c
+            r /= norms_B
+            col_buf.fill(0.0)
+            csc_matvec(A.cols, m, indptr, indices, data, r, col_buf)
+            x += col_buf
         size = np.abs(x).max()
         first = size if step == 0 else first
         if size / 1e12 > first:

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import gtvtomo
 from gtvtomo import (
     Geometry,
     NoiseSpec,
@@ -9,6 +10,11 @@ from gtvtomo import (
     forward_project,
     generate_phantom,
 )
+
+
+def pytest_report_header(config):
+    # pyproject's pythonpath puts this checkout's src first, ahead of PYTHONPATH
+    return f"gtvtomo: {gtvtomo.__file__}"
 
 
 @pytest.fixture(scope="session")

@@ -478,6 +478,57 @@ class TestSirt:
                 SirtConfig(lam=lam)
 
 
+def _span40_operator(dtype=np.float64, index_dtype=np.int32):
+    """The 16/23/10 projector with span 40 (it has zero rows), with its data and index arrays recast."""
+    M = build_projector(Geometry(16, 23, 10, 40.0)).matrix.astype(dtype)
+    M.indices, M.indptr = M.indices.astype(index_dtype), M.indptr.astype(index_dtype)
+    return ProjectionOperator(M, Geometry(16, 23, 10, 40.0))
+
+
+class TestCompiledBlockStep:
+    """ART and SIRT equal, bit for bit, the block step written with the public ``B @ x`` and ``B.T @ r``.
+
+    The solvers call scipy's private ``_sparsetools`` kernels; this pins them
+    to the meaning of the public products.
+    """
+
+    @staticmethod
+    def public_block_iterate(A, b, blocks, c, steps):
+        gathered = [(A.matrix[rows], b[rows], A.row_norms_sq[rows]) for rows in blocks]
+        x = np.zeros(A.cols)
+        for _ in range(steps):
+            for B, b_B, norms_B in gathered:
+                x += B.T @ (c * (b_B - B @ x) / norms_B)
+        return x
+
+    @pytest.mark.parametrize(
+        "operator",
+        [
+            lambda p64: p64,
+            lambda p64: _span40_operator(),
+            lambda p64: _span40_operator(dtype=np.float32),
+            lambda p64: _span40_operator(dtype=np.longdouble),
+            lambda p64: _span40_operator(index_dtype=np.int64),  # the row gather may narrow them again
+        ],
+        ids=["64-95-36", "16-23-10-span40", "float32", "longdouble", "int64-indices"],
+    )
+    def test_equals_public_products(self, projector64, operator):
+        A = operator(projector64)
+        rng = np.random.default_rng(3)
+        b = (A.matrix @ rng.random(A.cols)).astype(np.float64) + 0.1 * rng.standard_normal(A.rows)
+        got, _ = art(A, b, ArtConfig(lam=0.25, sweeps=5))
+        assert np.array_equal(got.pixels, self.public_block_iterate(A, b, A.art_schedule, 0.25, 5))
+        got, _ = sirt(A, b, SirtConfig(lam=1.0, iterations=5))
+        want = self.public_block_iterate(A, b, [A.active_rows], 1.0 / A.sirt_radius, 5)
+        assert np.array_equal(got.pixels, want)
+
+    def test_operators_are_what_they_claim(self):
+        assert (_span40_operator().row_norms_sq == 0).any()
+        assert _span40_operator(dtype=np.float32).matrix.dtype == np.float32
+        M = _span40_operator(index_dtype=np.int64).matrix
+        assert M.indices.dtype == M.indptr.dtype == np.int64
+
+
 class TestDataScale:
     @pytest.mark.parametrize("scale", [1e-11, 1e11, 1e-200, 1e200, 1e-300, 1e300])
     @pytest.mark.parametrize("method", ["art", "sirt"])
