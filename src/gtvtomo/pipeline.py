@@ -1,11 +1,11 @@
 """End-to-end experiments: denoise a noisy sinogram, reconstruct both ways.
 
-:func:`run_experiment` executes the full two-step pipeline for one phantom:
-forward project, add noise, build the patch graph, pick the regularization
-weight by sweep (scored by FBP reconstruction error against the known
-phantom), then reconstruct with every requested method from both the raw
-noisy sinogram and the graph-denoised one, writing all artifacts and a
-summary table.
+:func:`run_experiment` executes the two-step pipeline for one phantom in three
+stages.  The front end forward projects, adds noise, builds the patch graph and
+picks the regularization weight by sweep (scored by FBP error against the known
+phantom).  The solves reconstruct with every requested method from the raw noisy
+sinogram and from the graph-denoised one.  Only then do the writers create the
+output directory and write every artifact and a summary table.
 
 :func:`run_table1` runs the built-in four-row benchmark (Shepp-Logan and
 smooth phantoms at relative noise 0.05 and 0.08) averaged over seeds and
@@ -178,26 +178,17 @@ def reconstruct(method: str, sino: Sinogram, spec: ExperimentSpec, projector=Non
     if method == "fbp":
         img = fbp(sino, geometry, cfg)
         return img, ErrorCurve(np.array([l2_error(img, truth)] if truth is not None else []))
+    if (sino.p, sino.q) != (geometry.p, geometry.q):
+        raise ValueError(f"sinogram is {sino.p}x{sino.q} but geometry expects {geometry.p}x{geometry.q}")
     A = _projector(geometry, projector)
     tracker = (lambda xv: l2_error(xv, truth)) if truth is not None else None
     return (art if method == "art" else sirt)(A, sino.values, cfg, tracker=tracker)
 
 
-def run_experiment(spec: ExperimentSpec, projector=None) -> dict:
-    """Execute the two-step pipeline and write artifacts to spec.output_dir.
-
-    A ``projector`` must have the spec's geometry; without one, one is
-    built.  Returns a JSON-serializable record with the chosen gamma, the sweep
-    scores and, as ``methods[method][branch]``, that branch's row of ``summary.csv``.
-    The record is deterministic for a fixed spec.  Every reconstruction runs
-    before the output directory is created, so a spec the data cannot
-    satisfy (a patch or neighbor count too large, FBP on one ray) or a
-    solver that diverges leaves nothing behind.  ``curve_*.csv`` is written
-    per iterative method and branch, at every budget.
-    """
+def _front_end(spec: ExperimentSpec, A):
+    """Phantom, sinograms, patch graph and gamma sweep (the graph is freed on return); returns the
+    truth, the clean sinogram, the branches ``{"raw": noisy, "gd": denoised}`` and the record's scalar keys."""
     truth = generate_phantom(spec.phantom, spec.n, spec.seed)
-    A = _projector(spec.stages["geometry"], projector)
-
     clean = forward_project(A, truth)
     noisy = add_noise(clean, NoiseSpec(spec.noise_level, spec.seed + 1))
 
@@ -215,18 +206,25 @@ def run_experiment(spec: ExperimentSpec, projector=None) -> dict:
         l2_error(s.values, clean.values) / clean_norm if clean_norm else 0.0
         for s in (noisy, denoised)
     )
+    record = {
+        "best_gamma": best_gamma,
+        "gamma_scores": list(zip(spec.gammas, scores)),
+        "noisy_rel_error": rel_noisy,
+        "denoised_rel_error": rel_denoised,
+    }
+    return truth, clean, {"raw": noisy, "gd": denoised}, record
 
-    branches = {"raw": noisy, "gd": denoised}
-    recons = {(m, br): reconstruct(m, sino, spec, A, truth) for m in spec.methods for br, sino in branches.items()}
 
+def _write(spec: ExperimentSpec, truth, clean, branches: dict, record: dict, recons: dict) -> dict:
+    """Create the output directory, write every artifact; return ``record`` with its ``methods``."""
     outdir = Path(spec.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
     write_image_raw(truth, outdir / "phantom.img")
     write_image_pgm(truth, outdir / "phantom.pgm")
     write_sinogram_raw(clean, outdir / "sino_clean.sino")
-    write_sinogram_raw(noisy, outdir / "sino_noisy.sino")
-    write_sinogram_raw(denoised, outdir / "sino_denoised.sino")
-    write_csv(zip(spec.gammas, scores), outdir / "gamma_scores.csv", ("gamma", "score"))
+    write_sinogram_raw(branches["raw"], outdir / "sino_noisy.sino")
+    write_sinogram_raw(branches["gd"], outdir / "sino_denoised.sino")
+    write_csv(record["gamma_scores"], outdir / "gamma_scores.csv", ("gamma", "score"))
     write_profile_csv(profile(truth), outdir / "profile_truth.csv")
 
     results: dict = {}
@@ -237,7 +235,7 @@ def run_experiment(spec: ExperimentSpec, projector=None) -> dict:
             "n": spec.n,
             "noise_level": spec.noise_level,
             "seed": spec.seed,
-            "best_gamma": best_gamma,
+            "best_gamma": record["best_gamma"],
             "method": method,
             "branch": branch,
             "final_error": float(curve.values[-1]),
@@ -256,8 +254,8 @@ def run_experiment(spec: ExperimentSpec, projector=None) -> dict:
 
     with open(outdir / "summary.txt", "w") as fh:
         fh.write(f"phantom={spec.phantom} n={spec.n} noise={spec.noise_level} seed={spec.seed}\n")
-        fh.write(f"relative error: noisy={rel_noisy:.6f} denoised={rel_denoised:.6f}\n")
-        fh.write(f"best gamma: {best_gamma!r}\n")
+        fh.write(f"relative error: noisy={record['noisy_rel_error']:.6f} denoised={record['denoised_rel_error']:.6f}\n")
+        fh.write(f"best gamma: {record['best_gamma']!r}\n")
         fh.write(f"{'method':<8}{'branch':<8}{'final':>14}{'min':>14}{'argmin':>8}\n")
         for row in rows:
             fh.write(
@@ -265,14 +263,25 @@ def run_experiment(spec: ExperimentSpec, projector=None) -> dict:
                 f"{row['final_error']:>14.6f}{row['min_error']:>14.6f}"
                 f"{row['argmin_iteration']:>8d}\n"
             )
+    return {**record, "methods": results}
 
-    return {
-        "best_gamma": best_gamma,
-        "gamma_scores": list(zip(spec.gammas, scores)),
-        "noisy_rel_error": rel_noisy,
-        "denoised_rel_error": rel_denoised,
-        "methods": results,
-    }
+
+def run_experiment(spec: ExperimentSpec, projector=None) -> dict:
+    """Execute the two-step pipeline and write artifacts to spec.output_dir.
+
+    A ``projector`` must have the spec's geometry; without one, one is
+    built.  Returns a JSON-serializable record with the chosen gamma, the sweep
+    scores and, as ``methods[method][branch]``, that branch's row of ``summary.csv``.
+    The record is deterministic for a fixed spec.  Every reconstruction runs
+    before the output directory is created, so a spec the data cannot
+    satisfy (a patch or neighbor count too large, FBP on one ray) or a
+    solver that diverges leaves nothing behind.  ``curve_*.csv`` is written
+    per iterative method and branch, at every budget.
+    """
+    A = _projector(spec.stages["geometry"], projector)
+    truth, clean, branches, record = _front_end(spec, A)
+    recons = {(m, br): reconstruct(m, sino, spec, A, truth) for m in spec.methods for br, sino in branches.items()}
+    return _write(spec, truth, clean, branches, record, recons)
 
 
 def _seed_stats(values: list[float]) -> dict:

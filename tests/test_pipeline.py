@@ -1,6 +1,7 @@
 import csv
 import json
 import re
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -9,7 +10,7 @@ import pytest
 from gtvtomo import ExperimentSpec, generate_phantom, l2_error, pipeline, run_experiment, run_table1
 from gtvtomo.cli import main
 from gtvtomo.pipeline import TABLE1_ROWS, default_gamma_grid, parse_spec_file, reconstruct
-from gtvtomo.projector import Geometry, build_projector, forward_project
+from gtvtomo.projector import Geometry, Sinogram, build_projector, forward_project
 from gtvtomo.recon import DivergenceError
 from gtvtomo.serialize import (
     read_curve_csv,
@@ -159,6 +160,14 @@ class TestReconstruct:
             reconstruct("art", sino, spec, other)
 
     @pytest.mark.parametrize("method", ["fbp", "art", "sirt"])
+    def test_sinogram_shape_must_match_spec(self, tmp_path, method):
+        spec = small_spec(tmp_path)  # 23 rays, 10 angles: the transposed shape has as many values
+        sino = forward_project(build_projector(spec.stages["geometry"]), generate_phantom(spec.phantom, spec.n))
+        transposed = Sinogram(spec.num_angles, spec.rays, sino.values)
+        with pytest.raises(ValueError, match=r"^sinogram is 10x23 but geometry expects 23x10$"):
+            reconstruct(method, transposed, spec)
+
+    @pytest.mark.parametrize("method", ["fbp", "art", "sirt"])
     def test_one_result_contract(self, tmp_path, method):
         spec = small_spec(tmp_path, art_sweeps=4, sirt_iterations=6)
         truth = generate_phantom(spec.phantom, spec.n)
@@ -235,6 +244,25 @@ class TestRunExperiment:
             assert float(r["final_error"]) == rec["final_error"]
             assert float(r["min_error"]) == rec["min_error"]
             assert r["argmin_iteration"] == str(rec["argmin_iteration"])
+
+    def test_stages_run_apart_match_run_experiment(self, tmp_path):
+        """Front end, solves outside run_experiment, writers: no directory before the writers,
+        then the same files and the same record as one run_experiment call."""
+        whole = small_spec(tmp_path, output_dir=str(tmp_path / "whole"))
+        staged = replace(whole, output_dir=str(tmp_path / "staged"))
+        record = run_experiment(whole)
+        A = build_projector(staged.stages["geometry"])
+        truth, clean, branches, front = pipeline._front_end(staged, A)
+        recons = {
+            (m, br): reconstruct(m, sino, staged, A, truth) for m in staged.methods for br, sino in branches.items()
+        }
+        assert not Path(staged.output_dir).exists()
+        assert pipeline._write(staged, truth, clean, branches, front, recons) == record
+
+        def files(d):
+            return {p.name: p.read_bytes() for p in Path(d).iterdir()}
+
+        assert files(staged.output_dir) == files(whole.output_dir)
 
     def test_projector_of_another_geometry_leaves_no_output_dir(self, tmp_path):
         spec = small_spec(tmp_path)

@@ -31,3 +31,10 @@ def test_same_source_same_outputs_and_one_flipped_byte_is_reported(tmp_path):
 def test_a_file_on_one_side_only_is_reported():
     assert same_outputs.differences({"x": b"1"}, {"x": b"1", "y": b""}) == ["y"]
     assert same_outputs.differences({"[1] noise stdout": b""}, {"[1] noise stdout": b"\n"}) == ["[1] noise stdout"]
+
+
+def test_unknown_revision_exits_2_with_gits_message(capsys):
+    assert same_outputs.main(["no-such-rev"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("cannot extract src/ of no-such-rev: fatal: ")

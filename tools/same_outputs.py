@@ -7,7 +7,8 @@ checkout, no worktree), runs :data:`COMMANDS` in order under ``python -W error
 -m gtvtomo.cli``, once on REV's source and once on the working tree's, and
 compares every file they write byte for byte, plus each command's exit code,
 stdout and stderr.  Prints the outputs that differ and exits 1 on any
-difference, 0 on none.  Uses only the standard library.
+difference, 0 on none, and 2, with git's message, if REV's ``src/`` cannot be
+extracted.  Uses only the standard library.
 """
 
 from __future__ import annotations
@@ -85,7 +86,12 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
-        before = outputs(extract_src(args.rev, tmp / "rev"), COMMANDS, tmp / "rev-out")
+        try:
+            rev_src = extract_src(args.rev, tmp / "rev")
+        except subprocess.CalledProcessError as exc:
+            print(f"cannot extract src/ of {args.rev}: {exc.stderr.decode(errors='replace').strip()}", file=sys.stderr)
+            return 2
+        before = outputs(rev_src, COMMANDS, tmp / "rev-out")
         after = outputs(ROOT / "src", COMMANDS, tmp / "tree-out")
     differ = differences(before, after)
     for name in differ:
