@@ -176,6 +176,8 @@ def reconstruct(method: str, sino: Sinogram, spec: ExperimentSpec, projector=Non
     """
     geometry, cfg = spec.stages["geometry"], spec.stages[method]
     if method == "fbp":
+        if projector is not None:
+            _projector(geometry, projector)  # checked, though FBP does not use it
         img = fbp(sino, geometry, cfg)
         return img, ErrorCurve(np.array([l2_error(img, truth)] if truth is not None else []))
     if (sino.p, sino.q) != (geometry.p, geometry.q):

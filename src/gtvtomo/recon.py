@@ -139,7 +139,9 @@ def _block_iterate(A: ProjectionOperator, b, blocks, c: float, steps: int, track
     """From ``x = 0``, ``steps`` times apply each row block ``B`` in turn with relaxation ``c``.
 
     One block is one step ``x += B^T (c * (b_B - B x) / ||a_i||^2)``, after ``b``
-    passes :func:`~gtvtomo.phantoms.flat_finite`.  ``B x`` and ``B^T r`` run on
+    passes :func:`~gtvtomo.phantoms.flat_finite`.  The rows of all blocks are
+    gathered once per call and each block is a slice of that gather; nothing is
+    cached on the operator.  ``B x`` and ``B^T r`` run on
     scipy's compiled ``csr_matvec`` and ``csc_matvec`` (a CSR block's arrays are
     its transpose's CSC arrays), each into a buffer allocated once per call and
     zeroed before the product, so the products and their summation order are
@@ -150,26 +152,30 @@ def _block_iterate(A: ProjectionOperator, b, blocks, c: float, steps: int, track
     step's iterate form the curve.
     """
     b = flat_finite(b, A.rows, "reconstruction", "data")
-    # Blocks are gathered per call, not cached on the operator: a cached copy raised peak RSS.
+    # One gather per call, blocks are slices of it; not cached on the operator: a cached copy raised peak RSS.
+    rows = np.concatenate([np.empty(0, np.intp), *blocks])  # an empty ART schedule gathers no row
+    G, b_G, norms_G, n = A.matrix[rows], b[rows], A.row_norms_sq[rows], A.cols
+    ends = np.cumsum([0] + [block.size for block in blocks]).tolist()
     gathered = []
-    for rows in blocks:
-        B = A.matrix[rows]
-        gathered.append((rows.size, B.indptr, B.indices, B.data, b[rows], A.row_norms_sq[rows]))
-    x = np.zeros(A.cols)
+    for lo, hi in zip(ends, ends[1:]):
+        nz = slice(G.indptr[lo], G.indptr[hi])
+        ptr = G.indptr[lo : hi + 1] - nz.start
+        gathered.append((hi - lo, ptr, G.indices[nz], G.data[nz], b_G[lo:hi], norms_G[lo:hi]))
+    x = np.zeros(n)
     dtype = np.result_type(A.matrix.dtype, x.dtype)  # the dtype ``B @ x`` returns
-    row_buf = np.empty(max((rows.size for rows in blocks), default=0), dtype)
-    col_buf = np.empty(A.cols, dtype)
+    row_buf = np.empty(max((block.size for block in blocks), default=0), dtype)
+    col_buf = np.empty(n, dtype)
     tracked = []
     for step in range(steps):
         for m, indptr, indices, data, b_B, norms_B in gathered:
             r = row_buf[:m]
             r.fill(0.0)
-            csr_matvec(m, A.cols, indptr, indices, data, x, r)
+            csr_matvec(m, n, indptr, indices, data, x, r)
             np.subtract(b_B, r, out=r)
             r *= c
             r /= norms_B
             col_buf.fill(0.0)
-            csc_matvec(A.cols, m, indptr, indices, data, r, col_buf)
+            csc_matvec(n, m, indptr, indices, data, r, col_buf)
             x += col_buf
         size = np.abs(x).max()
         first = size if step == 0 else first

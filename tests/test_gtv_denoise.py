@@ -1,3 +1,5 @@
+import copy
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,14 +7,18 @@ from hypothesis import strategies as st
 
 from gtvtomo import (
     DenoiseConfig,
+    NoiseSpec,
     PatchConfig,
     Sinogram,
+    add_noise,
     build_graph,
     denoise,
     extract_patches,
+    forward_project,
     gamma_sweep,
     graph_from_edges,
     objective,
+    spectral_norm,
 )
 
 from test_patch_graph import knn_inputs
@@ -284,3 +290,70 @@ class TestDeskScaleSweep:
         best_gamma, _, scores = gamma_sweep(sino64_noisy.values, graph64_noisy, grid, evaluator)
         assert best_gamma not in (grid[0], grid[-1])
         assert min(scores) < scores[0]  # beats no denoising
+
+
+def public_denoise(b, g, cfg):
+    """The dual projected-gradient loop written with the public ``D @ x``, ``D.T @ u`` and ``np.clip``."""
+    tau = spectral_norm(g)
+    step, bound, D = 1.0 / (tau * tau), cfg.gamma / 2.0, g.incidence
+    u = np.zeros(g.edge_count)
+    values, f_prev = [], None
+    for _ in range(cfg.max_iters):
+        x = b - D.T @ u
+        grad_x = D @ x
+        u = np.clip(u + step * grad_x, -bound, bound)
+        resid = b - x
+        f = float(resid @ resid) + cfg.gamma * float(np.abs(grad_x).sum())
+        values.append(f)
+        if f == 0.0 or (f_prev is not None and ((f - f_prev) / f_prev) ** 2 < cfg.epsilon):
+            return x, values, True
+        f_prev = f
+    return x, values, False
+
+
+class TestCompiledDualStep:
+    """``denoise`` equals, bit for bit, its loop written with the public sparse products.
+
+    The solver calls scipy's private ``_sparsetools`` kernels into reused
+    buffers; this pins them to the meaning of ``D @ x``, ``D.T @ u`` and ``np.clip``.
+    """
+
+    @pytest.fixture(scope="class")
+    def shepp005(self, projector64, shepp64):
+        # table1's Shepp-Logan 0.05 row at seed 1, which draws its noise with seed 2
+        noisy = add_noise(forward_project(projector64, shepp64), NoiseSpec(0.05, 2))
+        cfg = PatchConfig(3, 10)
+        return noisy.values, build_graph(extract_patches(noisy, cfg), cfg)
+
+    @staticmethod
+    def assert_same(b, g, cfg):
+        z, trace = denoise(b, g, cfg)
+        want, values, converged = public_denoise(b, g, cfg)
+        assert z.tobytes() == want.tobytes()
+        assert trace.objective == values
+        assert trace.converged is converged
+        return trace
+
+    @pytest.mark.parametrize("gamma", [1e-3, 0.38, 20.0])
+    def test_desk_scale_graph(self, shepp005, gamma):
+        b, g = shepp005
+        assert self.assert_same(b, g, DenoiseConfig(gamma=gamma)).iterations_run > 1
+
+    def test_zero_weight_edge_and_isolated_node(self):
+        g = graph_from_edges(6, [(0, 1, 1.0), (1, 2, 0.0), (2, 3, 2.5), (0, 3, 0.7), (3, 4, 0.2)])
+        assert g.degree[5] == 0.0 and (g.weights == 0).any()
+        b = np.random.default_rng(4).standard_normal(6)
+        self.assert_same(b, g, DenoiseConfig(gamma=0.8, epsilon=1e-12))
+
+    def test_int64_index_arrays(self, shepp005):
+        b, g = shepp005
+        g = copy.copy(g)  # the fixture's graph keeps its int32 arrays
+        g.incidence = D = g.incidence.copy()
+        D.indices, D.indptr = D.indices.astype(np.int64), D.indptr.astype(np.int64)
+        assert g.incidence.indices.dtype == g.incidence.indptr.dtype == np.int64
+        self.assert_same(b, g, DenoiseConfig(gamma=0.38))
+
+    def test_capped_by_max_iters(self, shepp005):
+        b, g = shepp005
+        trace = self.assert_same(b, g, DenoiseConfig(gamma=20.0, max_iters=40))
+        assert trace.iterations_run == 40 and not trace.converged

@@ -152,12 +152,16 @@ class TestSpecFile:
 class TestReconstruct:
     """Every method returns ``(Image, ErrorCurve)``: one error per step given a truth, none without."""
 
-    def test_projector_of_another_geometry_rejected(self, tmp_path):
+    @pytest.mark.parametrize("method", ["fbp", "art", "sirt"])
+    def test_projector_of_another_geometry_rejected(self, tmp_path, monkeypatch, method):
         spec = small_spec(tmp_path)
         other = build_projector(Geometry(16, 23, 10, 40.0))
         sino = forward_project(build_projector(spec.stages["geometry"]), generate_phantom(spec.phantom, spec.n))
         with pytest.raises(ValueError, match=r"^projector has Geometry\(.*detector_span=40\.0\) but the spec asks"):
-            reconstruct("art", sino, spec, other)
+            reconstruct(method, sino, spec, other)
+        if method == "fbp":  # FBP still builds no projector when none is given
+            monkeypatch.setattr(pipeline, "build_projector", None)
+            assert reconstruct(method, sino, spec)[0].n == spec.n
 
     @pytest.mark.parametrize("method", ["fbp", "art", "sirt"])
     def test_sinogram_shape_must_match_spec(self, tmp_path, method):

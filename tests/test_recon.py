@@ -378,11 +378,14 @@ class TestSirtOracle:
             sirt(A, np.ones(4), SirtConfig(lam=1.0, iterations=3))
 
     def test_all_zero_operator_art_returns_zeros(self):
-        A = operator_from_matrix(np.zeros((4, 4)), 2, 2, 2)
-        calls = []
-        img, curve = art(A, np.ones(4), ArtConfig(lam=1.0, sweeps=3), tracker=lambda xv: (calls.append(1), 0.5)[1])
-        assert np.all(img.pixels == 0.0)
-        assert len(calls) == 3 and curve.values.size == 3
+        # ART's one row gather per call is empty, whether or not the zeros are stored
+        for matrix, nnz in ((np.zeros((4, 4)), 0), (sp.eye(4, format="csr") * 0.0, 4)):
+            A = operator_from_matrix(matrix, 2, 2, 2)
+            assert A.matrix.nnz == nnz and A.art_schedule == []
+            seen = []
+            img, curve = art(A, np.ones(4), ArtConfig(lam=1.0, sweeps=3), tracker=lambda xv: seen.append(xv) or 0.5)
+            assert np.all(img.pixels == 0.0) and not np.any(seen)
+            assert len(seen) == 3 and curve.values.size == 3
 
 
 class TestSirtRadius:

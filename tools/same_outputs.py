@@ -25,13 +25,15 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 
-# The README stage chain (with every optional output), reconstruct --truth per
-# method, one experiment with every method, and two table1 runs.
+# The README stage chain (with every optional output), a denoise stopped by
+# --max-iters, reconstruct --truth per method, one experiment with every
+# method, and two table1 runs.
 COMMANDS = (
     "phantom --kind shepp-logan --n 64 --out ph.img --pgm ph.pgm",
     "project --image ph.img --rays 95 --num-angles 36 --out clean.sino --csv clean.csv",
     "noise --sino clean.sino --level 0.08 --seed 1 --out noisy.sino",
     "denoise --sino noisy.sino --gamma 0.6 --out denoised.sino --trace trace.csv --edges edges.csv",
+    "denoise --sino noisy.sino --gamma 20 --max-iters 40 --out capped.sino --trace capped.csv",
     "reconstruct --sino denoised.sino --n 64 --method art --art-lam 0.25 --truth ph.img --curve curve.csv"
     " --out rec.img --pgm rec.pgm",
     "reconstruct --sino noisy.sino --n 64 --method fbp --truth ph.img --out fbp.img --pgm fbp.pgm",
