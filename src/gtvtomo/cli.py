@@ -252,7 +252,7 @@ def _cmd_reconstruct(args) -> int:
     if args.curve:
         write_curve_csv(curve.values, args.curve)
     if truth is not None:
-        print(f"l2 error: {curve.values[-1]:.6f}")
+        print(f"l2 error: {float(curve.values[-1])!r}")
     return 0
 
 

@@ -7,11 +7,9 @@ solution as ``z = b - divergence(u)``, the dual variable u lives in the box
 ``1 / tau^2`` followed by projection onto the box, ``tau`` being the spectral
 norm of the gradient operator.  The step length equals the inverse Lipschitz
 constant of the dual gradient, so the iteration is a plain convergent
-forward-backward scheme.  The dual step calls scipy's compiled ``csc_matvec``
-and ``csr_matvec`` (the kernels behind ``D.T @ u`` and ``D @ x``) directly,
-each into a buffer allocated once per call, zeroed before the product and
-reused across iterations, and updates ``u`` in place; its results are bit for
-bit those of ``D.T @ u``, ``D @ x`` and ``np.clip``.
+forward-backward scheme.  Its products are :func:`~gtvtomo.projector.spmv`
+calls into buffers allocated once per call, and ``u`` is updated in place, bit
+for bit as with ``D.T @ u``, ``D @ x`` and ``np.clip``.
 
 Stopping uses the relative change of the objective evaluated at the current
 iterate, ``F = ||b - x||^2 + gamma * ||gradient(x)||_1``, with an immediate
@@ -23,10 +21,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.sparse._sparsetools import csc_matvec, csr_matvec
 
 from gtvtomo.patch_graph import PatchGraph, graph_gradient, spectral_norm
 from gtvtomo.phantoms import flat_finite
+from gtvtomo.projector import spmv
 
 @dataclass(frozen=True)
 class DenoiseConfig:
@@ -85,16 +83,14 @@ def denoise(b: np.ndarray, g: PatchGraph, cfg: DenoiseConfig) -> tuple[np.ndarra
     step = 1.0 / (tau * tau)
     bound = cfg.gamma / 2.0
     D, m, n = g.incidence, g.edge_count, g.node_count
-    arrays = (D.indptr, D.indices, D.data)  # D's CSR arrays are D^T's CSC ones
+    arrays = (D.indptr, D.indices, D.data)
     u, grad_x, scratch, x, resid = np.zeros(m), np.empty(m), np.empty(m), np.empty(n), np.empty(n)
     trace = DenoiseTrace()
     f_prev = None
     for _ in range(cfg.max_iters):
-        x.fill(0.0)
-        csc_matvec(n, m, *arrays, u, x)
+        spmv(arrays, u, x, transpose=True)
         np.subtract(b, x, out=x)
-        grad_x.fill(0.0)
-        csr_matvec(m, n, *arrays, x, grad_x)
+        spmv(arrays, x, grad_x)
         np.multiply(grad_x, step, out=scratch)
         u += scratch
         np.minimum(u, bound, out=u)

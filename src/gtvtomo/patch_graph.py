@@ -21,10 +21,10 @@ from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.linalg import eigsh
 from scipy.spatial import cKDTree, distance
 
 from gtvtomo.phantoms import flat_finite
+from gtvtomo.projector import top_eigenvalue
 
 # Relative margin within which k-th and (k+1)-th tree distances count as tied:
 # the tree and cdist round the same distance differently in the last bits.
@@ -90,18 +90,12 @@ class PatchGraph:
     def tau(self) -> float:
         """Largest singular value ``||D||_2`` of the gradient operator, built on first use.
 
-        The top eigenvalue of ``D^T D`` comes from ARPACK's implicitly
-        restarted Lanczos (``eigsh``) at machine precision, started from a
-        seeded normal vector (the constant vector lies in the null space of
-        ``D``); ``tau`` is its square root.  A graph with no edge of positive
-        weight has a zero operator and is rejected.
+        ``tau`` is the square root of :func:`~gtvtomo.projector.top_eigenvalue` of
+        ``D^T D``; a graph with no edge of positive weight (a zero ``D``) is rejected.
         """
         if not np.any(self.weights > 0):
             raise ValueError("spectral norm needs at least one edge of positive weight")
-        D = self.incidence
-        v0 = np.random.default_rng(0x5EED).standard_normal(self.node_count)
-        lam = eigsh(D.T @ D, k=1, v0=v0, return_eigenvectors=False)[0]
-        return float(np.sqrt(lam))
+        return float(np.sqrt(top_eigenvalue(self.incidence.T @ self.incidence)))
 
 
 def graph_from_edges(node_count: int, edges) -> PatchGraph:

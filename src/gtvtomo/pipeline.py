@@ -40,6 +40,13 @@ METHODS = ("fbp", "art", "sirt")
 BRANCHES = ("raw", "gd")
 
 
+def _known_method(method: str) -> str:
+    """``method`` itself if it is one of :data:`METHODS`; a ValueError naming it otherwise."""
+    if method not in METHODS:
+        raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
+    return method
+
+
 def default_gamma_grid() -> list[float]:
     """0 plus 21 log-spaced points up to 20; brackets useful weights at desk scale."""
     return [0.0] + [float(v) for v in np.logspace(-3, np.log10(20.0), 21)]
@@ -76,14 +83,11 @@ class ExperimentSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "gammas", tuple(float(g) for g in self.gammas))
-        object.__setattr__(self, "methods", tuple(str(m) for m in self.methods))
+        object.__setattr__(self, "methods", tuple(_known_method(str(m)) for m in self.methods))
         if self.phantom not in PHANTOM_KINDS:
             raise ValueError(f"unknown phantom {self.phantom!r}; expected one of {PHANTOM_KINDS}")
         if not self.methods:
             raise ValueError("at least one reconstruction method is required")
-        for m in self.methods:
-            if m not in METHODS:
-                raise ValueError(f"unknown method {m!r}; expected one of {METHODS}")
         if len(self.gammas) == 0:
             raise ValueError("gamma list must not be empty")
         for name, items in (("method", self.methods), ("gamma", self.gammas)):
@@ -174,7 +178,7 @@ def reconstruct(method: str, sino: Sinogram, spec: ExperimentSpec, projector=Non
     curve holds the l2 error after each ART sweep or SIRT iteration, or FBP's
     one error; without one it is empty.
     """
-    geometry, cfg = spec.stages["geometry"], spec.stages[method]
+    geometry, cfg = spec.stages["geometry"], spec.stages[_known_method(method)]
     if method == "fbp":
         if projector is not None:
             _projector(geometry, projector)  # checked, though FBP does not use it
@@ -315,6 +319,9 @@ def run_table1(
     level (useful for sanity checks at level 0).  Returns the table record
     and writes table1.csv and table1.txt.
     """
+    seeds = list(seeds)
+    if not_int := [s for s in seeds if not isinstance(s, (int, np.integer))]:
+        raise ValueError(f"seeds must be integers, got {not_int[0]!r}")
     seeds = [int(s) for s in seeds]
     if not seeds:
         raise ValueError("need at least one seed")

@@ -15,11 +15,32 @@ from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse._sparsetools import csc_matvec, csr_matvec
 from scipy.sparse.linalg import LinearOperator, eigsh
 
 from gtvtomo.phantoms import Image, flat_finite
 
 _CROSSING_TOL = 1e-12
+
+
+def spmv(arrays, x: np.ndarray, out: np.ndarray, transpose: bool = False) -> np.ndarray:
+    """Zero ``out``, write ``M @ x`` into it (``M.T @ x`` if ``transpose``) and return it.
+
+    ``arrays`` are a CSR matrix ``M``'s ``(indptr, indices, data)``, which are
+    also ``M.T``'s CSC arrays.  scipy's compiled ``csr_matvec``/``csc_matvec``,
+    which ``@`` ends in, run here without its per-call dispatch; they take the
+    product's shape as ``(out.size, x.size)`` and add into ``out``.  For ``out``
+    of the dtype ``@`` returns, the result is bit for bit that of ``@``.
+    """
+    out.fill(0)
+    (csc_matvec if transpose else csr_matvec)(out.size, x.size, *arrays, x, out)
+    return out
+
+
+def top_eigenvalue(op) -> float:
+    """Top eigenvalue of a symmetric positive semidefinite ``op`` by ``eigsh`` (ARPACK Lanczos) from a seeded start."""
+    v0 = np.random.default_rng(0x5EED).standard_normal(op.shape[0])
+    return float(eigsh(op, k=1, v0=v0, return_eigenvectors=False)[0])
 
 
 @dataclass(frozen=True)
@@ -121,14 +142,14 @@ class ProjectionOperator:
         return np.flatnonzero(self.row_norms_sq > 0)
 
     @cached_property
-    def art_schedule(self) -> list[np.ndarray]:
-        """The active rows in Kaczmarz order, grouped into levels, one row array per level.
+    def art_schedule(self) -> tuple[np.ndarray, list[int]]:
+        """The active rows in Kaczmarz order grouped into levels, as ``(rows, ends)``.
 
+        Level ``k`` is ``rows[ends[k]:ends[k + 1]]``; with no active row, ``ends`` is ``[0]``.
         The order is angle-major, even rays before odd.  A row's level is one
         more than the highest level of the earlier rows sharing a pixel with it,
         so each level has rows of disjoint pixel supports that commute, and the
-        levels in turn apply the rows exactly as that order does.  Built on
-        first use.
+        levels in turn apply the rows exactly as that order does.
         """
         active = self.active_rows
         ray, angle = active // self.geometry.q, active % self.geometry.q
@@ -140,17 +161,16 @@ class ProjectionOperator:
             cols = indices[indptr[i] : indptr[i + 1]]
             levels[pos] = last[cols].max() + 1
             last[cols] = levels[pos]
-        return [order[levels == level] for level in range(1, levels.max(initial=0) + 1)]
+        ends = np.cumsum(np.bincount(levels, minlength=1)).tolist()  # levels start at 1: ends[0] is 0
+        return order[np.argsort(levels, kind="stable")], ends
 
     @cached_property
     def sirt_radius(self) -> float:
         """Spectral radius of ``A^T diag(1/||a_i||^2) A`` over the nonzero rows: SIRT's step unit.
 
-        The top eigenvalue comes from ARPACK Lanczos (``eigsh``) at machine
-        precision, started from a seeded vector, so it is the same float for
-        every projector of one geometry.  A one-pixel image has the exact
-        value, the number of nonzero rows (0 if there are none).  Built on
-        first use.
+        It is :func:`top_eigenvalue` of that operator, the same float for every
+        projector of one geometry; a one-pixel image has the exact value, the
+        number of nonzero rows (0 if there are none).
         """
         active = self.active_rows
         if self.cols == 1 or active.size == 0:
@@ -160,8 +180,7 @@ class ProjectionOperator:
         normal = LinearOperator(
             (self.cols, self.cols), matvec=lambda x: B_t @ (inv_norms_sq * (B @ x)), dtype=np.float64
         )
-        v0 = np.random.default_rng(0x5EED).standard_normal(self.cols)
-        return float(eigsh(normal, k=1, v0=v0, return_eigenvectors=False)[0])
+        return top_eigenvalue(normal)
 
 
 def build_projector(geometry: Geometry) -> ProjectionOperator:

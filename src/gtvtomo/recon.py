@@ -3,14 +3,12 @@
 FBP applies two linear operators, a ramp-filter matrix and a CSR
 backprojector, built once per geometry and setting and cached.  ART and
 SIRT consume the sparse :class:`~gtvtomo.projector.ProjectionOperator` and
-share one block row-projection step, which calls scipy's compiled CSR and CSC
-matvec kernels directly into two buffers reused across steps; its products
-are bit for bit those of ``B @ x`` and ``B.T @ r``.  ART's relaxation scales
-each row projection and SIRT's is in units of ``1/rho``, the inverse spectral
-radius of its summed projections (see :func:`sirt`), so both converge for
-relaxations in (0, 2).  A tracker callback gets the iterate after each ART
-sweep / SIRT iteration, and its returns form an
-:class:`~gtvtomo.metrics.ErrorCurve`, so ground truth never enters the solvers.
+share one block row-projection step on :func:`~gtvtomo.projector.spmv`.
+ART's relaxation scales each row projection and SIRT's is in units of
+``1/rho``, the inverse spectral radius of its summed projections (see
+:func:`sirt`), so both converge for relaxations in (0, 2).  A tracker callback
+gets the iterate after each ART sweep / SIRT iteration, and its returns form
+an :class:`~gtvtomo.metrics.ErrorCurve`, so ground truth never enters the solvers.
 """
 
 from __future__ import annotations
@@ -21,13 +19,9 @@ from functools import lru_cache
 import numpy as np
 import scipy.sparse as sp
 
-# The kernels that ``B @ x`` and ``B.T @ r`` end in, called without scipy's
-# per-call dispatch; the public-API variants of the block step did not pay.
-from scipy.sparse._sparsetools import csc_matvec, csr_matvec
-
 from gtvtomo.metrics import ErrorCurve
 from gtvtomo.phantoms import Image, flat_finite
-from gtvtomo.projector import Geometry, ProjectionOperator, Sinogram
+from gtvtomo.projector import Geometry, ProjectionOperator, Sinogram, spmv
 
 FBP_FILTERS = ("ram-lak", "shepp-logan", "cosine")
 FBP_INTERPOLATIONS = ("linear", "nearest")
@@ -135,48 +129,36 @@ def fbp(s: Sinogram, geometry: Geometry, cfg: FbpConfig = FbpConfig()) -> Image:
     return Image(geometry.n, W @ (H @ s.grid).ravel() * (np.pi / geometry.q))
 
 
-def _block_iterate(A: ProjectionOperator, b, blocks, c: float, steps: int, tracker) -> tuple[Image, ErrorCurve]:
+def _block_iterate(A: ProjectionOperator, b, rows, ends, c: float, steps: int, tracker) -> tuple[Image, ErrorCurve]:
     """From ``x = 0``, ``steps`` times apply each row block ``B`` in turn with relaxation ``c``.
 
-    One block is one step ``x += B^T (c * (b_B - B x) / ||a_i||^2)``, after ``b``
-    passes :func:`~gtvtomo.phantoms.flat_finite`.  The rows of all blocks are
-    gathered once per call and each block is a slice of that gather; nothing is
-    cached on the operator.  ``B x`` and ``B^T r`` run on
-    scipy's compiled ``csr_matvec`` and ``csc_matvec`` (a CSR block's arrays are
-    its transpose's CSC arrays), each into a buffer allocated once per call and
-    zeroed before the product, so the products and their summation order are
-    bit for bit those of ``B @ x`` and ``B.T @ r``.  Raises
-    :class:`DivergenceError` if the largest iterate entry passes 1e12 times its
-    value after the first step, a bound that scales with the data and is
-    compared without overflow; non-None tracker returns on a copy of each
-    step's iterate form the curve.
+    Block ``k`` is ``rows[ends[k]:ends[k + 1]]``, as in
+    :attr:`~gtvtomo.projector.ProjectionOperator.art_schedule`, and its step is
+    ``x += B^T (c * (b_B - B x) / ||a_i||^2)``, after ``b`` passes
+    :func:`~gtvtomo.phantoms.flat_finite`, with :func:`~gtvtomo.projector.spmv`
+    products.  Raises :class:`DivergenceError` if the largest iterate entry
+    passes 1e12 times its value after the first step, a bound that scales with
+    the data and is compared without overflow; non-None tracker returns on a
+    copy of each step's iterate form the curve.
     """
     b = flat_finite(b, A.rows, "reconstruction", "data")
-    # One gather per call, blocks are slices of it; not cached on the operator: a cached copy raised peak RSS.
-    rows = np.concatenate([np.empty(0, np.intp), *blocks])  # an empty ART schedule gathers no row
-    G, b_G, norms_G, n = A.matrix[rows], b[rows], A.row_norms_sq[rows], A.cols
-    ends = np.cumsum([0] + [block.size for block in blocks]).tolist()
-    gathered = []
+    # Not cached on the operator: a cached copy of the gather raised peak RSS.
+    G, b_G, norms_G = A.matrix[rows], b[rows], A.row_norms_sq[rows]
+    blocks = []
     for lo, hi in zip(ends, ends[1:]):
         nz = slice(G.indptr[lo], G.indptr[hi])
-        ptr = G.indptr[lo : hi + 1] - nz.start
-        gathered.append((hi - lo, ptr, G.indices[nz], G.data[nz], b_G[lo:hi], norms_G[lo:hi]))
-    x = np.zeros(n)
+        blocks.append(((G.indptr[lo : hi + 1] - nz.start, G.indices[nz], G.data[nz]), b_G[lo:hi], norms_G[lo:hi]))
+    x = np.zeros(A.cols)
     dtype = np.result_type(A.matrix.dtype, x.dtype)  # the dtype ``B @ x`` returns
-    row_buf = np.empty(max((block.size for block in blocks), default=0), dtype)
-    col_buf = np.empty(n, dtype)
+    row_buf, col_buf = np.empty(len(rows), dtype), np.empty(A.cols, dtype)
     tracked = []
     for step in range(steps):
-        for m, indptr, indices, data, b_B, norms_B in gathered:
-            r = row_buf[:m]
-            r.fill(0.0)
-            csr_matvec(m, n, indptr, indices, data, x, r)
+        for arrays, b_B, norms_B in blocks:
+            r = spmv(arrays, x, row_buf[: b_B.size])
             np.subtract(b_B, r, out=r)
             r *= c
             r /= norms_B
-            col_buf.fill(0.0)
-            csc_matvec(n, m, indptr, indices, data, r, col_buf)
-            x += col_buf
+            x += spmv(arrays, r, col_buf, transpose=True)
         size = np.abs(x).max()
         first = size if step == 0 else first
         if size / 1e12 > first:
@@ -197,14 +179,13 @@ def art(
     """Kaczmarz: sweep all rows, projecting onto one hyperplane at a time.
 
     Rows with zero norm (rays that miss the image) are skipped.  The others
-    are visited angle-major, with the even rays of each angle before the odd
-    ones.  That order is split into levels (see
-    :attr:`~gtvtomo.projector.ProjectionOperator.art_schedule`) whose rows
-    have disjoint pixel supports; each level is one block of the shared step
-    with ``c = lam``.  Rows of one level commute, so a sweep equals the
-    row-by-row sweep in that order up to floating-point summation order.
+    are visited in the order of
+    :attr:`~gtvtomo.projector.ProjectionOperator.art_schedule`, whose levels of
+    rows with disjoint pixel supports are the blocks of the shared step with
+    ``c = lam``.  Rows of one level commute, so a sweep equals the row-by-row
+    sweep in that order up to floating-point summation order.
     """
-    return _block_iterate(A, b, A.art_schedule, cfg.lam, cfg.sweeps, tracker)
+    return _block_iterate(A, b, *A.art_schedule, cfg.lam, cfg.sweeps, tracker)
 
 
 def sirt(
@@ -224,6 +205,7 @@ def sirt(
     ``c = lam / rho``.  Raises :class:`DivergenceError` if the largest iterate
     entry passes 1e12 times its value after the first iteration.
     """
-    if A.active_rows.size == 0:
+    rows = A.active_rows
+    if rows.size == 0:
         raise ValueError("operator has no nonzero rows")
-    return _block_iterate(A, b, [A.active_rows], cfg.lam / A.sirt_radius, cfg.iterations, tracker)
+    return _block_iterate(A, b, rows, [0, rows.size], cfg.lam / A.sirt_radius, cfg.iterations, tracker)

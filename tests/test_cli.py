@@ -399,6 +399,21 @@ class TestFarFromUnitScale:
         err = float(capsys.readouterr().out.removeprefix("l2 error: "))
         assert err == pytest.approx(1e200 * np.linalg.norm(unit), rel=1e-9)
 
+    @pytest.mark.filterwarnings("error")
+    def test_printed_error_round_trips_at_1e200(self, tmp_path, capsys):
+        # a fixed-point format would print the error with 201 digits before the point
+        ph, sino, scaled, curve = (tmp_path / name for name in ("ph.img", "s.sino", "big.sino", "c.csv"))
+        assert main(["phantom", "--n", "16", "--out", str(ph)]) == 0
+        assert main(["project", "--image", str(ph), "--rays", "23", "--num-angles", "10", "--out", str(sino)]) == 0
+        s = read_sinogram_raw(sino)
+        write_sinogram_raw(Sinogram(s.p, s.q, 1e200 * s.values), scaled)
+        capsys.readouterr()
+        assert main(["reconstruct", "--sino", str(scaled), "--n", "16", "--method", "sirt", "--truth", str(ph),
+                     "--curve", str(curve), "--out", str(tmp_path / "r.img")]) == 0
+        shown = capsys.readouterr().out.removeprefix("l2 error: ").strip()
+        last = float(curve.read_text().splitlines()[-1].split(",")[1])
+        assert float(shown) == last > 1e199 and shown == repr(last)
+
 
 def test_reconstruct_writes_pgm_preview(tmp_path):
     ph, sino, out, pgm = (tmp_path / name for name in ("ph.img", "s.sino", "r.img", "r.pgm"))

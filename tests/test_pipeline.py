@@ -163,6 +163,13 @@ class TestReconstruct:
             monkeypatch.setattr(pipeline, "build_projector", None)
             assert reconstruct(method, sino, spec)[0].n == spec.n
 
+    @pytest.mark.parametrize("method", ["mlem", "FBP"])
+    def test_unknown_method_rejected(self, tmp_path, method):
+        spec = small_spec(tmp_path)
+        sino = Sinogram(spec.rays, spec.num_angles, np.zeros(spec.rays * spec.num_angles))
+        with pytest.raises(ValueError, match=rf"^unknown method '{method}'; expected one of \('fbp', 'art', 'sirt'\)$"):
+            reconstruct(method, sino, spec)
+
     @pytest.mark.parametrize("method", ["fbp", "art", "sirt"])
     def test_sinogram_shape_must_match_spec(self, tmp_path, method):
         spec = small_spec(tmp_path)  # 23 rays, 10 angles: the transposed shape has as many values
@@ -387,6 +394,12 @@ class TestRunTable1:
     def test_requires_seeds(self, tmp_path):
         with pytest.raises(ValueError):
             run_table1(tmp_path / "t", seeds=[])
+
+    @pytest.mark.parametrize("seeds, bad", [([1.7, 3], "1.7"), ([1, 1.5], "1.5")])
+    def test_seeds_must_be_integers(self, tmp_path, seeds, bad):
+        with pytest.raises(ValueError, match=rf"^seeds must be integers, got {bad}$"):
+            run_table1(tmp_path / "t", seeds=seeds)
+        assert not (tmp_path / "t").exists()
 
     @pytest.mark.parametrize("noise_override", [None, 0.03])
     def test_each_distinct_experiment_runs_once(self, tmp_path, monkeypatch, noise_override):

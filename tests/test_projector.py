@@ -15,6 +15,8 @@ from gtvtomo import (
     forward_project,
 )
 
+from gtvtomo.projector import spmv
+
 from conftest import adjoint_gap
 
 # Frozen self-oracle snapshot of the Shepp-Logan forward projection
@@ -255,3 +257,22 @@ class TestSinogramType:
     def test_grid_layout(self):
         s = Sinogram(2, 3, np.arange(6.0))
         np.testing.assert_array_equal(s.grid, [[0, 1, 2], [3, 4, 5]])
+
+
+class TestSpmv:
+    """``spmv`` overwrites ``out`` with exactly ``M @ x``, or ``M.T @ y`` when transposed."""
+
+    @pytest.mark.parametrize(
+        "dtype, index_dtype",
+        [(np.float64, np.int32), (np.float32, np.int32), (np.float64, np.int64)],
+        ids=["float64", "float32", "int64-indices"],
+    )
+    def test_equals_public_products(self, dtype, index_dtype):
+        M = build_projector(Geometry(16, 23, 10, 40.0)).matrix.astype(dtype)  # span 40 leaves zero rows
+        M.indices, M.indptr = M.indices.astype(index_dtype), M.indptr.astype(index_dtype)
+        rng = np.random.default_rng(4)
+        x, y = rng.standard_normal(M.shape[1]), rng.standard_normal(M.shape[0])
+        for v, want, transpose in ((x, M @ x, False), (y, M.T @ y, True)):
+            out = np.full(want.size, 1e300, want.dtype)  # the kernels add into out: garbage must not survive
+            assert spmv((M.indptr, M.indices, M.data), v, out, transpose=transpose) is out
+            assert np.array_equal(out, want)

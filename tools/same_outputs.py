@@ -26,8 +26,9 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 
 # The README stage chain (with every optional output), a denoise stopped by
-# --max-iters, reconstruct --truth per method, one experiment with every
-# method, and two table1 runs.
+# --max-iters, reconstruct --truth per method, ART and SIRT at a span where
+# most rows miss the image (1 380 of 3 420 active, 36 ART levels), one
+# experiment with every method, and two table1 runs.
 COMMANDS = (
     "phantom --kind shepp-logan --n 64 --out ph.img --pgm ph.pgm",
     "project --image ph.img --rays 95 --num-angles 36 --out clean.sino --csv clean.csv",
@@ -39,6 +40,9 @@ COMMANDS = (
     "reconstruct --sino noisy.sino --n 64 --method fbp --truth ph.img --out fbp.img --pgm fbp.pgm",
     "reconstruct --sino noisy.sino --n 64 --method art --truth ph.img --curve art.csv --out art.img",
     "reconstruct --sino noisy.sino --n 64 --method sirt --truth ph.img --curve sirt.csv --out sirt.img",
+    "reconstruct --sino noisy.sino --n 64 --span 200 --method art --truth ph.img --curve art200.csv --out art200.img",
+    "reconstruct --sino noisy.sino --n 64 --span 200 --method sirt --truth ph.img --curve sirt200.csv"
+    " --out sirt200.img",
     "experiment --phantom shepp-logan --noise-level 0.08 --methods fbp,art,sirt --out-dir run1",
     "table1 --out-dir bench --seeds 1,2,3,4,5",
     "table1 --out-dir bench-override --seeds 1,2 --noise-override 0.03 --n 32",
