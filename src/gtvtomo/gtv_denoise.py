@@ -8,8 +8,7 @@ solution as ``z = b - divergence(u)``, the dual variable u lives in the box
 norm of the gradient operator.  The step length equals the inverse Lipschitz
 constant of the dual gradient, so the iteration is a plain convergent
 forward-backward scheme.  Its products are :func:`~gtvtomo.projector.spmv`
-calls into buffers allocated once per call, and ``u`` is updated in place, bit
-for bit as with ``D.T @ u``, ``D @ x`` and ``np.clip``.
+calls into buffers allocated once per call, and ``u`` is clipped in place.
 
 Stopping uses the relative change of the objective evaluated at the current
 iterate, ``F = ||b - x||^2 + gamma * ||gradient(x)||_1``, with an immediate
@@ -93,8 +92,7 @@ def denoise(b: np.ndarray, g: PatchGraph, cfg: DenoiseConfig) -> tuple[np.ndarra
         spmv(arrays, x, grad_x)
         np.multiply(grad_x, step, out=scratch)
         u += scratch
-        np.minimum(u, bound, out=u)
-        np.maximum(u, -bound, out=u)
+        np.clip(u, -bound, bound, out=u)
         np.subtract(b, x, out=resid)
         f = float(resid @ resid) + cfg.gamma * float(np.abs(grad_x, out=scratch).sum())
         trace.objective.append(f)

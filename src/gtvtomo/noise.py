@@ -23,6 +23,8 @@ class NoiseSpec:
     def __post_init__(self):
         if not np.isfinite(self.relative_level) or self.relative_level < 0:
             raise ValueError(f"relative noise level must be >= 0, got {self.relative_level}")
+        if not isinstance(self.seed, (int, np.integer)):
+            raise ValueError(f"seed must be an integer, got {self.seed!r}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
 

@@ -94,7 +94,7 @@ class ExperimentSpec:
             if len(set(items)) < len(items):
                 raise ValueError(f"each {name} may be listed once, got {items}")
         denoise_cfg = self.stages["denoise"]
-        NoiseSpec(self.noise_level, self.seed)  # seed >= 0 covers the phantom and noise seeds
+        NoiseSpec(self.noise_level, self.seed)  # an integer seed >= 0 covers the phantom and noise seeds
         for gm in self.gammas:
             replace(denoise_cfg, gamma=gm)  # rejects a negative or non-finite weight
 

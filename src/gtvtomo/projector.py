@@ -30,7 +30,9 @@ def spmv(arrays, x: np.ndarray, out: np.ndarray, transpose: bool = False) -> np.
     also ``M.T``'s CSC arrays.  scipy's compiled ``csr_matvec``/``csc_matvec``,
     which ``@`` ends in, run here without its per-call dispatch; they take the
     product's shape as ``(out.size, x.size)`` and add into ``out``.  For ``out``
-    of the dtype ``@`` returns, the result is bit for bit that of ``@``.
+    of the dtype ``@`` returns, the result is bit for bit that of ``@``.  They
+    read ``indices`` and ``data`` through ``indptr``'s own offsets, so rows
+    ``lo:hi`` of ``M`` are ``(M.indptr[lo:hi + 1], M.indices, M.data)``.
     """
     out.fill(0)
     (csc_matvec if transpose else csr_matvec)(out.size, x.size, *arrays, x, out)

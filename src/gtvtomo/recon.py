@@ -133,28 +133,27 @@ def _block_iterate(A: ProjectionOperator, b, rows, ends, c: float, steps: int, t
     """From ``x = 0``, ``steps`` times apply each row block ``B`` in turn with relaxation ``c``.
 
     Block ``k`` is ``rows[ends[k]:ends[k + 1]]``, as in
-    :attr:`~gtvtomo.projector.ProjectionOperator.art_schedule`, and its step is
-    ``x += B^T (c * (b_B - B x) / ||a_i||^2)``, after ``b`` passes
-    :func:`~gtvtomo.phantoms.flat_finite`, with :func:`~gtvtomo.projector.spmv`
-    products.  Raises :class:`DivergenceError` if the largest iterate entry
-    passes 1e12 times its value after the first step, a bound that scales with
-    the data and is compared without overflow; non-None tracker returns on a
-    copy of each step's iterate form the curve.
+    :attr:`~gtvtomo.projector.ProjectionOperator.art_schedule`, taken as a row
+    window of the one gather ``A.matrix[rows]`` with its own window of one row
+    buffer.  Its step is ``x += B^T (c * (b_B - B x) / ||a_i||^2)``, after ``b``
+    passes :func:`~gtvtomo.phantoms.flat_finite`, with
+    :func:`~gtvtomo.projector.spmv` products.  Raises :class:`DivergenceError`
+    if the largest iterate entry passes 1e12 times its value after the first
+    step, a bound that scales with the data and is compared without overflow;
+    non-None tracker returns on a copy of each step's iterate form the curve.
     """
     b = flat_finite(b, A.rows, "reconstruction", "data")
     # Not cached on the operator: a cached copy of the gather raised peak RSS.
     G, b_G, norms_G = A.matrix[rows], b[rows], A.row_norms_sq[rows]
-    blocks = []
-    for lo, hi in zip(ends, ends[1:]):
-        nz = slice(G.indptr[lo], G.indptr[hi])
-        blocks.append(((G.indptr[lo : hi + 1] - nz.start, G.indices[nz], G.data[nz]), b_G[lo:hi], norms_G[lo:hi]))
     x = np.zeros(A.cols)
     dtype = np.result_type(A.matrix.dtype, x.dtype)  # the dtype ``B @ x`` returns
     row_buf, col_buf = np.empty(len(rows), dtype), np.empty(A.cols, dtype)
+    blocks = [((G.indptr[lo : hi + 1], G.indices, G.data), b_G[lo:hi], norms_G[lo:hi], row_buf[lo:hi])
+              for lo, hi in zip(ends, ends[1:])]
     tracked = []
     for step in range(steps):
-        for arrays, b_B, norms_B in blocks:
-            r = spmv(arrays, x, row_buf[: b_B.size])
+        for arrays, b_B, norms_B, r in blocks:
+            spmv(arrays, x, r)
             np.subtract(b_B, r, out=r)
             r *= c
             r /= norms_B
@@ -163,8 +162,7 @@ def _block_iterate(A: ProjectionOperator, b, rows, ends, c: float, steps: int, t
         first = size if step == 0 else first
         if size / 1e12 > first:
             raise DivergenceError("iterate norm grew 1e12-fold after the first step; reduce the relaxation")
-        val = tracker(x.copy()) if tracker is not None else None
-        if val is not None:
+        if tracker is not None and (val := tracker(x.copy())) is not None:
             tracked.append(float(val))
     return Image(A.geometry.n, x), ErrorCurve(np.asarray(tracked, dtype=np.float64))
 

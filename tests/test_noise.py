@@ -63,6 +63,13 @@ class TestAddNoise:
         with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
             NoiseSpec(0.1, seed=-1)
 
+    def test_non_integer_seed_rejected(self):
+        with pytest.raises(ValueError, match=r"^seed must be an integer, got 1\.5$"):
+            NoiseSpec(0.08, 1.5)
+
+    def test_numpy_integer_seed_accepted(self):
+        assert NoiseSpec(0.08, np.int64(3)).seed == 3
+
 
 def realized_level(noisy, clean):
     """||noisy - clean|| / ||clean||, from math.hypot, which neither under- nor overflows."""

@@ -96,6 +96,11 @@ class TestExperimentSpec:
             with pytest.raises(ValueError, match=message):
                 ExperimentSpec(**{field: bad})
 
+    def test_non_integer_seed_rejected_at_construction(self):
+        # rejected when the spec is built, before any phantom, projector or noise seed (seed + 1) exists
+        with pytest.raises(ValueError, match=r"^seed must be an integer, got 1\.5$"):
+            ExperimentSpec(n=16, rays=23, num_angles=10, neighbors=4, gammas=(0.0,), seed=1.5)
+
 
 class TestSpecFile:
     def test_parse_and_overrides(self, tmp_path):

@@ -276,3 +276,21 @@ class TestSpmv:
             out = np.full(want.size, 1e300, want.dtype)  # the kernels add into out: garbage must not survive
             assert spmv((M.indptr, M.indices, M.data), v, out, transpose=transpose) is out
             assert np.array_equal(out, want)
+
+    @pytest.mark.parametrize(
+        "dtype, index_dtype",
+        [(np.float64, np.int32), (np.float32, np.int32), (np.float64, np.int64)],
+        ids=["float64", "float32", "int64-indices"],
+    )
+    @pytest.mark.parametrize("lo, hi", [(5, 40), (100, 230), (17, 17)], ids=["inner", "to-last-row", "empty"])
+    def test_row_window_equals_sliced_products(self, dtype, index_dtype, lo, hi):
+        # rows lo:hi are (indptr[lo:hi + 1], indices, data): no rebased indptr, no sliced indices or data
+        M = build_projector(Geometry(16, 23, 10, 40.0)).matrix.astype(dtype)  # 230 rows
+        M.indices, M.indptr = M.indices.astype(index_dtype), M.indptr.astype(index_dtype)
+        rows, arrays = M[lo:hi], (M.indptr[lo : hi + 1], M.indices, M.data)
+        rng = np.random.default_rng(5)
+        x, y = rng.standard_normal(M.shape[1]), rng.standard_normal(hi - lo)
+        for v, want, transpose in ((x, rows @ x, False), (y, rows.T @ y, True)):
+            out = np.full(want.size, 1e300, want.dtype)
+            assert spmv(arrays, v, out, transpose=transpose) is out
+            assert np.array_equal(out, want)

@@ -531,6 +531,22 @@ class TestCompiledBlockStep:
         want = self.public_block_iterate(A, b, [A.active_rows], 1.0 / A.sirt_radius, 5)
         assert np.array_equal(got.pixels, want)
 
+    @settings(max_examples=60, deadline=None, database=None)
+    @given(art_problems())
+    @example((Geometry(6, 1, 5), 0, 1.0))  # one ray per angle
+    @example((Geometry(5, 13, 4, detector_span=15.0), 3, 1.5))  # zero rows past the diagonal
+    @example((Geometry(4, 2, 3, detector_span=12.0), 4, 0.5))  # both rays miss: no nonzero rows
+    def test_random_plans_equal_public_products(self, problem):
+        g, seed, lam = problem
+        A = build_projector(g)
+        rng = np.random.default_rng(seed)
+        b = A.matrix @ rng.random(A.cols) + 0.1 * rng.standard_normal(A.rows)
+        got, _ = art(A, b, ArtConfig(lam=lam, sweeps=3))
+        assert np.array_equal(got.pixels, self.public_block_iterate(A, b, art_levels(A), lam, 3))
+        assume(A.active_rows.size > 0)  # sirt rejects an operator with no nonzero row
+        got, _ = sirt(A, b, SirtConfig(lam=lam, iterations=3))
+        assert np.array_equal(got.pixels, self.public_block_iterate(A, b, [A.active_rows], lam / A.sirt_radius, 3))
+
     def test_operators_are_what_they_claim(self):
         assert (_span40_operator().row_norms_sq == 0).any()
         assert _span40_operator(dtype=np.float32).matrix.dtype == np.float32

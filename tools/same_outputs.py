@@ -26,9 +26,11 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 
 # The README stage chain (with every optional output), a denoise stopped by
-# --max-iters, reconstruct --truth per method, ART and SIRT at a span where
-# most rows miss the image (1 380 of 3 420 active, 36 ART levels), one
-# experiment with every method, and two table1 runs.
+# --max-iters, reconstruct --truth per method, FBP with the Shepp-Logan filter
+# and with the cosine filter and nearest interpolation, a denoise at gamma 0,
+# every other phantom kind, ART and SIRT at a span where most rows miss the
+# image (1 380 of 3 420 active, 36 ART levels), one experiment with every
+# method, and two table1 runs.
 COMMANDS = (
     "phantom --kind shepp-logan --n 64 --out ph.img --pgm ph.pgm",
     "project --image ph.img --rays 95 --num-angles 36 --out clean.sino --csv clean.csv",
@@ -38,6 +40,14 @@ COMMANDS = (
     "reconstruct --sino denoised.sino --n 64 --method art --art-lam 0.25 --truth ph.img --curve curve.csv"
     " --out rec.img --pgm rec.pgm",
     "reconstruct --sino noisy.sino --n 64 --method fbp --truth ph.img --out fbp.img --pgm fbp.pgm",
+    "reconstruct --sino noisy.sino --n 64 --method fbp --fbp-filter shepp-logan --truth ph.img --out fbpsl.img",
+    "reconstruct --sino noisy.sino --n 64 --method fbp --fbp-filter cosine --fbp-interpolation nearest --truth ph.img"
+    " --out fbpcn.img",
+    "denoise --sino noisy.sino --gamma 0 --out g0.sino --trace g0.csv",
+    "phantom --kind smooth --n 64 --out sm.img --pgm sm.pgm",
+    "phantom --kind binary --n 64 --seed 3 --out binary.img --pgm binary.pgm",
+    "phantom --kind grains --n 64 --seed 3 --out grains.img --pgm grains.pgm",
+    "phantom --kind fourphases --n 64 --seed 3 --out fourphases.img --pgm fourphases.pgm",
     "reconstruct --sino noisy.sino --n 64 --method art --truth ph.img --curve art.csv --out art.img",
     "reconstruct --sino noisy.sino --n 64 --method sirt --truth ph.img --curve sirt.csv --out sirt.img",
     "reconstruct --sino noisy.sino --n 64 --span 200 --method art --truth ph.img --curve art200.csv --out art200.img",
