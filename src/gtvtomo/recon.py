@@ -9,6 +9,9 @@ ART's relaxation scales each row projection and SIRT's is in units of
 :func:`sirt`), so both converge for relaxations in (0, 2).  A tracker callback
 gets the iterate after each ART sweep / SIRT iteration, and its returns form
 an :class:`~gtvtomo.metrics.ErrorCurve`, so ground truth never enters the solvers.
+Both take data as ``(m,)``, for one ``(Image, ErrorCurve)``, or as ``(m, k)``,
+solved at once for a list of ``k`` pairs, each bit for bit its column's own
+solve; the tracker then gets an ``(n, k)`` iterate and returns ``k`` values.
 """
 
 from __future__ import annotations
@@ -129,42 +132,73 @@ def fbp(s: Sinogram, geometry: Geometry, cfg: FbpConfig = FbpConfig()) -> Image:
     return Image(geometry.n, W @ (H @ s.grid).ravel() * (np.pi / geometry.q))
 
 
-def _block_iterate(A: ProjectionOperator, b, rows, ends, c: float, steps: int, tracker) -> tuple[Image, ErrorCurve]:
+def _block_iterate(A: ProjectionOperator, b, rows, ends, c: float, steps: int, tracker):
     """From ``x = 0``, ``steps`` times apply each row block ``B`` in turn with relaxation ``c``.
 
-    Block ``k`` is ``rows[ends[k]:ends[k + 1]]``, as in
+    Block ``j`` is ``rows[ends[j]:ends[j + 1]]``, as in
     :attr:`~gtvtomo.projector.ProjectionOperator.art_schedule`, taken as a row
     window of the one gather ``A.matrix[rows]`` with its own window of one row
-    buffer.  Its step is ``x += B^T (c * (b_B - B x) / ||a_i||^2)``, after ``b``
-    passes :func:`~gtvtomo.phantoms.flat_finite`, with
-    :func:`~gtvtomo.projector.spmv` products.  Raises :class:`DivergenceError`
-    if the largest iterate entry passes 1e12 times its value after the first
-    step, a bound that scales with the data and is compared without overflow;
-    non-None tracker returns on a copy of each step's iterate form the curve.
+    buffer.  Its step is ``x += B^T (c * (b_B - B x) / ||a_i||^2)``, after each
+    column of ``b`` passes :func:`~gtvtomo.phantoms.flat_finite`, with
+    :func:`~gtvtomo.projector.spmv` products.
+
+    ``b`` is ``(m,)`` or ``(m, k)``.  Column ``i`` is solved on pixels
+    ``i*n:(i+1)*n`` of one ``x`` of length ``k*n``, bit for bit as alone.  With
+    several blocks, the gather stacks each block's rows once per column, block
+    by block, column ``i``'s copy reading its own pixels, so a block is one
+    product each way for all columns; one block is applied per column on the
+    shared gather.  Raises :class:`DivergenceError` if the largest entry of a
+    column's iterate passes 1e12 times its value after the first step, a bound
+    that scales with the data and is compared without overflow.  The tracker
+    gets a copy of each step's iterate, ``(n,)`` or ``(n, k)`` like ``b``, and
+    returns None or one value per column; the others form the curves.  Returns
+    ``(Image, ErrorCurve)`` for ``(m,)`` data, a list of ``k`` such pairs for
+    ``(m, k)``.
     """
-    b = flat_finite(b, A.rows, "reconstruction", "data")
+    batch = np.ndim(b) == 2 and np.shape(b)[0] == A.rows and np.shape(b)[1] > 0
+    columns = [flat_finite(col, A.rows, "reconstruction", "data") for col in (np.transpose(b) if batch else [b])]
+    k, n = len(columns), A.cols
+    spans = list(zip(ends, ends[1:]))
+    # Many small blocks (ART's levels) cost calls more than kernel time, so the stack runs each for all
+    # columns at once.  One block (SIRT's) is bound by the kernels; the stack would copy it for no time.
+    stack = k > 1 and len(spans) > 1
+    if stack:
+        b_G = [np.concatenate([col[rows[lo:hi]] for lo, hi in spans for col in columns])]
+        rows = np.concatenate([rows[lo:hi] for lo, hi in spans for _ in columns])
+        ends = [k * e for e in ends]
+    else:
+        b_G = [col[rows] for col in columns]
     # Not cached on the operator: a cached copy of the gather raised peak RSS.
-    G, b_G, norms_G = A.matrix[rows], b[rows], A.row_norms_sq[rows]
-    x = np.zeros(A.cols)
+    G, norms_G = A.matrix[rows], A.row_norms_sq[rows]
+    if stack:  # in place, so the stack costs one gather: column i's rows read pixels i*n:(i+1)*n
+        for lo, hi in zip(ends, ends[1:]):
+            width = (hi - lo) // k
+            for i in range(1, k):
+                G.indices[G.indptr[lo + i * width] : G.indptr[lo + (i + 1) * width]] += i * n
+    x = np.zeros(k * n)
     dtype = np.result_type(A.matrix.dtype, x.dtype)  # the dtype ``B @ x`` returns
-    row_buf, col_buf = np.empty(len(rows), dtype), np.empty(A.cols, dtype)
-    blocks = [((G.indptr[lo : hi + 1], G.indices, G.data), b_G[lo:hi], norms_G[lo:hi], row_buf[lo:hi])
-              for lo, hi in zip(ends, ends[1:])]
+    row_buf, col_buf = np.empty((len(b_G), len(rows)), dtype), np.empty(k * n, dtype)
+    w = x.size // len(b_G)  # the pixels that each entry of b_G serves
+    blocks = [((G.indptr[lo : hi + 1], G.indices, G.data), b_j[lo:hi], norms_G[lo:hi], row_buf[j, lo:hi],
+               x[j * w : (j + 1) * w], col_buf[j * w : (j + 1) * w])
+              for lo, hi in zip(ends, ends[1:]) for j, b_j in enumerate(b_G)]
     tracked = []
     for step in range(steps):
-        for arrays, b_B, norms_B, r in blocks:
-            spmv(arrays, x, r)
+        for arrays, b_B, norms_B, r, x_B, c_B in blocks:
+            spmv(arrays, x_B, r)
             np.subtract(b_B, r, out=r)
             r *= c
             r /= norms_B
-            x += spmv(arrays, r, col_buf, transpose=True)
-        size = np.abs(x).max()
+            x_B += spmv(arrays, r, c_B, transpose=True)
+        size = np.abs(x).reshape(k, n).max(axis=1)
         first = size if step == 0 else first
-        if size / 1e12 > first:
+        if (size / 1e12 > first).any():
             raise DivergenceError("iterate norm grew 1e12-fold after the first step; reduce the relaxation")
-        if tracker is not None and (val := tracker(x.copy())) is not None:
-            tracked.append(float(val))
-    return Image(A.geometry.n, x), ErrorCurve(np.asarray(tracked, dtype=np.float64))
+        if tracker is not None and (val := tracker(x.copy().reshape(k, n).T if batch else x.copy())) is not None:
+            tracked.append(np.asarray(val, dtype=np.float64).reshape(k))
+    curves = np.asarray(tracked, dtype=np.float64).reshape(-1, k)
+    pairs = [(Image(A.geometry.n, x[i * n : (i + 1) * n]), ErrorCurve(curves[:, i])) for i in range(k)]
+    return pairs if batch else pairs[0]
 
 
 def art(
@@ -173,7 +207,7 @@ def art(
     cfg: ArtConfig,
     *,
     tracker=None,
-) -> tuple[Image, ErrorCurve]:
+) -> tuple[Image, ErrorCurve] | list[tuple[Image, ErrorCurve]]:
     """Kaczmarz: sweep all rows, projecting onto one hyperplane at a time.
 
     Rows with zero norm (rays that miss the image) are skipped.  The others
@@ -181,7 +215,11 @@ def art(
     :attr:`~gtvtomo.projector.ProjectionOperator.art_schedule`, whose levels of
     rows with disjoint pixel supports are the blocks of the shared step with
     ``c = lam``.  Rows of one level commute, so a sweep equals the row-by-row
-    sweep in that order up to floating-point summation order.
+    sweep in that order up to floating-point summation order.  ``b`` is
+    ``(m,)``, giving one ``(Image, ErrorCurve)``, or ``(m, k)``, giving a list
+    of ``k`` pairs from one solve whose levels each run all columns at once;
+    the tracker is called once per sweep with an ``(n,)`` or ``(n, k)``
+    iterate and returns one value per column.
     """
     return _block_iterate(A, b, *A.art_schedule, cfg.lam, cfg.sweeps, tracker)
 
@@ -192,7 +230,7 @@ def sirt(
     cfg: SirtConfig,
     *,
     tracker=None,
-) -> tuple[Image, ErrorCurve]:
+) -> tuple[Image, ErrorCurve] | list[tuple[Image, ErrorCurve]]:
     """Cimmino: a relaxed step along the sum of the projections onto all row hyperplanes.
 
     ``x <- x + lam/rho * A^T diag(1/||a_i||^2) (b - A x)`` over the nonzero
@@ -201,7 +239,9 @@ def sirt(
     ``lam`` is thus in units of ``1/rho``, and (0, 2) converges.  This is the
     shared projection step with one block of all nonzero rows and
     ``c = lam / rho``.  Raises :class:`DivergenceError` if the largest iterate
-    entry passes 1e12 times its value after the first iteration.
+    entry of a column passes 1e12 times its value after the first iteration.
+    ``b`` and the tracker are as in :func:`art`, with one call per iteration;
+    for ``(m, k)`` data the one block runs once per column on one gather.
     """
     rows = A.active_rows
     if rows.size == 0:

@@ -9,7 +9,7 @@ import pytest
 
 from gtvtomo import ExperimentSpec, generate_phantom, l2_error, pipeline, run_experiment, run_table1
 from gtvtomo.cli import main
-from gtvtomo.pipeline import TABLE1_ROWS, default_gamma_grid, parse_spec_file, reconstruct
+from gtvtomo.pipeline import BRANCHES, TABLE1_ROWS, default_gamma_grid, parse_spec_file, reconstruct
 from gtvtomo.projector import Geometry, Sinogram, build_projector, forward_project
 from gtvtomo.recon import DivergenceError
 from gtvtomo.serialize import (
@@ -279,6 +279,37 @@ class TestRunExperiment:
             return {p.name: p.read_bytes() for p in Path(d).iterdir()}
 
         assert files(staged.output_dir) == files(whole.output_dir)
+
+    def test_iterative_methods_solve_both_branches_in_one_call(self, tmp_path, monkeypatch):
+        """One art and one sirt call, each on the (m, 2) stack of the branches in BRANCHES order;
+        the record and files equal those of one reconstruct call per branch."""
+        staged = small_spec(tmp_path, output_dir=str(tmp_path / "staged"))
+        A = build_projector(staged.stages["geometry"])
+        truth, clean, branches, front = pipeline._front_end(staged, A)
+        recons = {(m, br): reconstruct(m, branches[br], staged, A, truth) for m in staged.methods for br in BRANCHES}
+        per_branch = pipeline._write(staged, truth, clean, branches, front, recons)
+
+        calls = []
+
+        def counting(solve):
+            def wrapper(A, b, cfg, **kwargs):
+                calls.append((solve.__name__, np.array(b)))
+                return solve(A, b, cfg, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(pipeline, "art", counting(pipeline.art))
+        monkeypatch.setattr(pipeline, "sirt", counting(pipeline.sirt))
+        whole = replace(staged, output_dir=str(tmp_path / "whole"))
+        assert run_experiment(whole, projector=A) == per_branch
+        stack = np.column_stack([branches[br].values for br in BRANCHES])
+        assert [name for name, _ in calls] == ["art", "sirt"]
+        assert all(b.shape == (A.rows, 2) and np.array_equal(b, stack) for _, b in calls)
+
+        def files(d):
+            return {p.name: p.read_bytes() for p in Path(d).iterdir()}
+
+        assert files(whole.output_dir) == files(staged.output_dir)
 
     def test_projector_of_another_geometry_leaves_no_output_dir(self, tmp_path):
         spec = small_spec(tmp_path)

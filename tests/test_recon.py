@@ -554,6 +554,68 @@ class TestCompiledBlockStep:
         assert M.indices.dtype == M.indptr.dtype == np.int64
 
 
+class TestColumnStack:
+    """ART and SIRT on an ``(m, k)`` stack equal, bit for bit, one one-column solve per column."""
+
+    @staticmethod
+    def problem_data(g, seed):
+        A = g if isinstance(g, ProjectionOperator) else build_projector(g)
+        rng = np.random.default_rng(seed)
+        b1 = A.matrix @ rng.random(A.cols) + 0.1 * rng.standard_normal(A.rows)
+        return A, b1, 0.5 * b1 + rng.standard_normal(A.rows)
+
+    @settings(max_examples=40, deadline=None, database=None)
+    @given(art_problems())
+    @example((Geometry(64, 95, 36), 0, 0.25))
+    @example((_span40_operator(), 1, 1.0))  # zero rows
+    @example((Geometry(4, 2, 3, detector_span=12.0), 4, 0.5))  # no nonzero row
+    def test_stack_equals_column_solves(self, problem):
+        g, seed, lam = problem
+        A, b1, b2 = self.problem_data(g, seed)
+        truth = np.linspace(0.0, 1.0, A.cols)
+
+        def check(solve, cfg):
+            pairs = solve(A, np.column_stack([b1, b2]), cfg, tracker=lambda X: [np.linalg.norm(x - truth) for x in X.T])
+            assert len(pairs) == 2
+            for b, (img, curve) in zip((b1, b2), pairs):
+                want_img, want_curve = solve(A, b, cfg, tracker=lambda x: np.linalg.norm(x - truth))
+                assert np.array_equal(img.pixels, want_img.pixels)
+                assert np.array_equal(curve.values, want_curve.values)
+                assert curve.values.size == 3
+
+        check(art, ArtConfig(lam=lam, sweeps=3))
+        assume(A.active_rows.size > 0)  # sirt rejects an operator with no nonzero row
+        check(sirt, SirtConfig(lam=lam, iterations=3))
+
+    @pytest.mark.parametrize("method", SOLVERS)
+    def test_tracker_called_once_per_step_with_every_column(self, method):
+        solve, cfg = SOLVERS[method]
+        A, b1, b2 = self.problem_data(Geometry(8, 11, 6), 5)
+        seen = []
+        solve(A, np.column_stack([b1, b2]), cfg, tracker=lambda X: (seen.append(X), None)[1])
+        assert len(seen) == 3
+        assert all(X.shape == (A.cols, 2) for X in seen)
+        img1, _ = solve(A, b1, cfg)
+        assert np.array_equal(seen[-1][:, 0], img1.pixels)
+
+    def test_one_diverging_column_raises(self):
+        A, _, b = well_posed_system(seed=6)
+        message = r"^iterate norm grew 1e12-fold after the first step; reduce the relaxation$"
+        with pytest.raises(DivergenceError, match=message):
+            _block_iterate(A, np.column_stack([np.zeros(A.rows), b]), np.arange(A.rows), [0, A.rows], 1e9, 5000, None)
+
+    @pytest.mark.parametrize("method", SOLVERS)
+    def test_bad_stacks_rejected(self, method):
+        solve, cfg = SOLVERS[method]
+        A, _, b = well_posed_system()
+        bad = np.column_stack([b, b])
+        bad[1, 1] = np.inf
+        with pytest.raises(ValueError, match="^reconstruction data must be finite$"):
+            solve(A, bad, cfg)
+        with pytest.raises(ValueError, match=r"^data must be a flat vector of length 4, got shape \(4, 0\)$"):
+            solve(A, np.empty((A.rows, 0)), cfg)
+
+
 class TestDataScale:
     @pytest.mark.parametrize("scale", [1e-11, 1e11, 1e-200, 1e200, 1e-300, 1e300])
     @pytest.mark.parametrize("method", ["art", "sirt"])

@@ -30,7 +30,8 @@ ROOT = Path(__file__).resolve().parents[1]
 # and with the cosine filter and nearest interpolation, a denoise at gamma 0,
 # every other phantom kind, ART and SIRT at a span where most rows miss the
 # image (1 380 of 3 420 active, 36 ART levels), one experiment with every
-# method, and two table1 runs.
+# method, the same at that span, a smooth experiment with SIRT alone (each
+# iterative method there solves both branches in one call), and two table1 runs.
 COMMANDS = (
     "phantom --kind shepp-logan --n 64 --out ph.img --pgm ph.pgm",
     "project --image ph.img --rays 95 --num-angles 36 --out clean.sino --csv clean.csv",
@@ -54,6 +55,8 @@ COMMANDS = (
     "reconstruct --sino noisy.sino --n 64 --span 200 --method sirt --truth ph.img --curve sirt200.csv"
     " --out sirt200.img",
     "experiment --phantom shepp-logan --noise-level 0.08 --methods fbp,art,sirt --out-dir run1",
+    "experiment --phantom shepp-logan --noise-level 0.08 --detector-span 200 --methods fbp,art,sirt --out-dir run200",
+    "experiment --phantom smooth --noise-level 0.05 --methods fbp,sirt --out-dir run-smooth",
     "table1 --out-dir bench --seeds 1,2,3,4,5",
     "table1 --out-dir bench-override --seeds 1,2 --noise-override 0.03 --n 32",
 )
