@@ -62,11 +62,11 @@ def _spec_value(name):
 
 
 def _add_spec_flags(p, names, flags=None, **kwargs):
-    """One ``--field-name`` flag per spec field; ``flags`` renames, ``kwargs`` adds options."""
+    """One ``--field-name`` flag per spec field; ``flags`` renames (a tuple gives aliases), ``kwargs`` adds options."""
     for name in names:
         flag = (flags or {}).get(name, "--" + name.replace("_", "-"))
-        extra = kwargs.get(name, {})
-        p.add_argument(flag, dest=name, type=_spec_value(name), choices=_CHOICES.get(name), **extra)
+        opts = flag if isinstance(flag, tuple) else (flag,)
+        p.add_argument(*opts, dest=name, type=_spec_value(name), choices=_CHOICES.get(name), **kwargs.get(name, {}))
 
 
 def _spec_from_args(args, **values) -> ExperimentSpec:
@@ -162,7 +162,7 @@ def _add_experiment(sub):
     _add_spec_flags(
         p,
         _SPEC_FIELDS,
-        flags={"output_dir": "--out-dir"},
+        flags={"output_dir": "--out-dir", "detector_span": ("--detector-span", "--span")},
         gammas={"help": "comma-separated weights (default: built-in sweep grid)"},
         methods={"help": "comma-separated subset of fbp,art,sirt"},
         sirt_lam=_SIRT_LAM,
@@ -245,7 +245,7 @@ def _cmd_reconstruct(args) -> int:
     truth = read_image_raw(args.truth) if args.truth else None
     if truth is not None and truth.n != spec.n:
         raise ValueError(f"--truth image is {truth.n}x{truth.n} but --n asks for {spec.n}x{spec.n}")
-    img, curve = reconstruct(args.method, sino, spec, truth=truth)
+    [(img, curve)] = reconstruct(args.method, [sino], spec, truth=truth)
     write_image_raw(img, args.out)
     if args.pgm:
         write_image_pgm(img, args.pgm)

@@ -3,10 +3,10 @@
 :func:`run_experiment` executes the two-step pipeline for one phantom in three
 stages.  The front end forward projects, adds noise, builds the patch graph and
 picks the regularization weight by sweep (scored by FBP error against the known
-phantom).  The solves reconstruct with every requested method from the raw noisy
-sinogram and from the graph-denoised one, ART and SIRT from both at once, as the
-two columns of one call.  Only then do the writers create the output directory
-and write every artifact and a summary table.
+phantom).  The solves call :func:`reconstruct` per requested method on the list of
+the raw noisy and the graph-denoised sinogram: FBP runs once per sinogram, ART and
+SIRT once, on both as the columns of one call.  Only then do the writers create
+the output directory and write every artifact and a summary table.
 
 :func:`run_table1` runs the built-in four-row benchmark (Shepp-Logan and
 smooth phantoms at relative noise 0.05 and 0.08) averaged over seeds and
@@ -170,26 +170,27 @@ def _projector(geometry: Geometry, projector):
     return projector
 
 
-def reconstruct(method: str, sino: Sinogram, spec: ExperimentSpec, projector=None, truth=None):
-    """Reconstruct with one method and the spec's geometry and settings for it.
+def reconstruct(method: str, sinos: list[Sinogram], spec: ExperimentSpec, projector=None, truth=None):
+    """Reconstruct each of ``sinos`` with one method and the spec's geometry and settings for it.
 
-    ``sino`` must have the spec's ray and angle counts and ``projector``, if given, its
-    geometry.  FBP uses no projector; ART and SIRT build one if none is given.  Returns
-    ``(Image, ErrorCurve)`` for every method: given a ``truth`` image, the
-    curve holds the l2 error after each ART sweep or SIRT iteration, or FBP's
-    one error; without one it is empty.
+    ``sinos`` is a non-empty list of sinograms with the spec's ray and angle counts and
+    ``projector``, if given, must have its geometry; both are checked before any solve.  FBP
+    uses no projector and runs once per sinogram; ART and SIRT build one if none is given and
+    solve the list as the columns of one call.  Returns one ``(Image, ErrorCurve)`` per
+    sinogram: given a ``truth`` image, the curve holds the l2 error after each ART sweep or
+    SIRT iteration, or FBP's one error; without one it is empty.
     """
     geometry, cfg = spec.stages["geometry"], spec.stages[_known_method(method)]
-    if method == "fbp":
-        if projector is not None:
-            _projector(geometry, projector)  # checked, though FBP does not use it
-        img = fbp(sino, geometry, cfg)
-        return img, ErrorCurve(np.array([l2_error(img, truth)] if truth is not None else []))
-    if (sino.p, sino.q) != (geometry.p, geometry.q):
-        raise ValueError(f"sinogram is {sino.p}x{sino.q} but geometry expects {geometry.p}x{geometry.q}")
-    A = _projector(geometry, projector)
-    tracker = (lambda xv: l2_error(xv, truth)) if truth is not None else None
-    return (art if method == "art" else sirt)(A, sino.values, cfg, tracker=tracker)
+    if not sinos:
+        raise ValueError("reconstruct needs at least one sinogram")
+    if (bad := next((s for s in sinos if (s.p, s.q) != (geometry.p, geometry.q)), None)) is not None:
+        raise ValueError(f"sinogram is {bad.p}x{bad.q} but geometry expects {geometry.p}x{geometry.q}")
+    A = _projector(geometry, projector) if projector is not None or method != "fbp" else None
+    if method == "fbp":  # uses no projector, but one that is given must fit
+        imgs = [fbp(s, geometry, cfg) for s in sinos]
+        return [(img, ErrorCurve(np.array([l2_error(img, truth)] if truth is not None else []))) for img in imgs]
+    tracker = (lambda X: [l2_error(x, truth) for x in X.T]) if truth is not None else None
+    return (art if method == "art" else sirt)(A, np.column_stack([s.values for s in sinos]), cfg, tracker=tracker)
 
 
 def _front_end(spec: ExperimentSpec, A):
@@ -203,7 +204,8 @@ def _front_end(spec: ExperimentSpec, A):
     graph = build_graph(extract_patches(noisy, pcfg), pcfg)
 
     def fbp_score(z):
-        return reconstruct("fbp", Sinogram(spec.rays, spec.num_angles, z), spec, truth=truth)[1].values[0]
+        img = fbp(Sinogram(spec.rays, spec.num_angles, z), spec.stages["geometry"], spec.stages["fbp"])
+        return l2_error(img, truth)
 
     best_gamma, best_z, scores = gamma_sweep(noisy.values, graph, spec.gammas, fbp_score, spec.stages["denoise"])
     denoised = Sinogram(spec.rays, spec.num_angles, best_z)
@@ -287,14 +289,11 @@ def run_experiment(spec: ExperimentSpec, projector=None) -> dict:
     """
     A = _projector(spec.stages["geometry"], projector)
     truth, clean, branches, record = _front_end(spec, A)
-    recons = {}
-    for m in spec.methods:
-        if m == "fbp":
-            recons.update({(m, br): reconstruct(m, branches[br], spec, A, truth) for br in BRANCHES})
-        else:  # the branches as the columns of one solve
-            solve, b = art if m == "art" else sirt, np.column_stack([branches[br].values for br in BRANCHES])
-            pairs = solve(A, b, spec.stages[m], tracker=lambda X: [l2_error(x, truth) for x in X.T])
-            recons.update(zip([(m, br) for br in BRANCHES], pairs))
+    recons = {
+        (m, br): pair
+        for m in spec.methods
+        for br, pair in zip(BRANCHES, reconstruct(m, [branches[br] for br in BRANCHES], spec, A, truth))
+    }
     return _write(spec, truth, clean, branches, record, recons)
 
 

@@ -31,7 +31,7 @@ SURFACE = {
         "--truth", "--curve", "--out", "--pgm",
     ],
     "experiment": [
-        "--spec", "--out-dir", "--phantom", "--n", "--rays", "--num-angles", "--detector-span",
+        "--spec", "--out-dir", "--phantom", "--n", "--rays", "--num-angles", "--detector-span", "--span",
         "--noise-level", "--patch-side", "--neighbors", "--gammas", "--methods", "--art-lam",
         "--art-sweeps", "--sirt-lam", "--sirt-iterations", "--fbp-filter",
         "--fbp-interpolation", "--denoise-epsilon", "--denoise-max-iters", "--seed",
@@ -119,6 +119,13 @@ class TestSurface:
         by_flag, by_file = captured_specs
         assert by_flag == by_file
         assert by_flag != ExperimentSpec()
+
+    def test_experiment_span_is_the_detector_span(self, captured_specs):
+        """``experiment --span`` is ``--detector-span`` under the name ``project`` and ``reconstruct`` use."""
+        assert main(["experiment", "--span", "100.5"]) == 0
+        assert main(["experiment", "--detector-span", "100.5"]) == 0
+        by_span, by_detector_span = captured_specs
+        assert by_span == by_detector_span == ExperimentSpec(detector_span=100.5)
 
     def test_each_stage_field_lands_in_its_setting(self):
         spec = ExperimentSpec(**{name: _coerce(name, raw) for name, raw in FIELD_VALUES.items()})

@@ -6,10 +6,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from gtvtomo import ExperimentSpec, generate_phantom, l2_error, pipeline, run_experiment, run_table1
+from gtvtomo import ExperimentSpec, Image, generate_phantom, l2_error, pipeline, run_experiment, run_table1
 from gtvtomo.cli import main
-from gtvtomo.pipeline import BRANCHES, TABLE1_ROWS, default_gamma_grid, parse_spec_file, reconstruct
+from gtvtomo.pipeline import BRANCHES, METHODS, TABLE1_ROWS, default_gamma_grid, parse_spec_file, reconstruct
 from gtvtomo.projector import Geometry, Sinogram, build_projector, forward_project
 from gtvtomo.recon import DivergenceError
 from gtvtomo.serialize import (
@@ -163,17 +165,17 @@ class TestReconstruct:
         other = build_projector(Geometry(16, 23, 10, 40.0))
         sino = forward_project(build_projector(spec.stages["geometry"]), generate_phantom(spec.phantom, spec.n))
         with pytest.raises(ValueError, match=r"^projector has Geometry\(.*detector_span=40\.0\) but the spec asks"):
-            reconstruct(method, sino, spec, other)
+            reconstruct(method, [sino], spec, other)
         if method == "fbp":  # FBP still builds no projector when none is given
             monkeypatch.setattr(pipeline, "build_projector", None)
-            assert reconstruct(method, sino, spec)[0].n == spec.n
+            assert reconstruct(method, [sino], spec)[0][0].n == spec.n
 
     @pytest.mark.parametrize("method", ["mlem", "FBP"])
     def test_unknown_method_rejected(self, tmp_path, method):
         spec = small_spec(tmp_path)
         sino = Sinogram(spec.rays, spec.num_angles, np.zeros(spec.rays * spec.num_angles))
         with pytest.raises(ValueError, match=rf"^unknown method '{method}'; expected one of \('fbp', 'art', 'sirt'\)$"):
-            reconstruct(method, sino, spec)
+            reconstruct(method, [sino], spec)
 
     @pytest.mark.parametrize("method", ["fbp", "art", "sirt"])
     def test_sinogram_shape_must_match_spec(self, tmp_path, method):
@@ -181,7 +183,7 @@ class TestReconstruct:
         sino = forward_project(build_projector(spec.stages["geometry"]), generate_phantom(spec.phantom, spec.n))
         transposed = Sinogram(spec.num_angles, spec.rays, sino.values)
         with pytest.raises(ValueError, match=r"^sinogram is 10x23 but geometry expects 23x10$"):
-            reconstruct(method, transposed, spec)
+            reconstruct(method, [transposed], spec)
 
     @pytest.mark.parametrize("method", ["fbp", "art", "sirt"])
     def test_one_result_contract(self, tmp_path, method):
@@ -189,12 +191,56 @@ class TestReconstruct:
         truth = generate_phantom(spec.phantom, spec.n)
         A = build_projector(spec.stages["geometry"])
         sino = forward_project(A, truth)
-        img, curve = reconstruct(method, sino, spec, A, truth)
+        [(img, curve)] = reconstruct(method, [sino], spec, A, truth)
         assert curve.values.size == {"fbp": 1, "art": spec.art_sweeps, "sirt": spec.sirt_iterations}[method]
         assert curve.values[-1] == l2_error(img, truth)
-        bare, empty = reconstruct(method, sino, spec, A)
+        [(bare, empty)] = reconstruct(method, [sino], spec, A)
         assert empty.values.size == 0
         np.testing.assert_array_equal(bare.pixels, img.pixels)
+
+
+class TestReconstructList:
+    """``reconstruct`` on k sinograms gives, bit for bit, the k results of one-sinogram calls."""
+
+    @settings(max_examples=40, deadline=None, database=None)
+    @given(
+        st.integers(2, 10),
+        st.integers(2, 20),
+        st.integers(1, 8),
+        st.one_of(st.none(), st.floats(1.0, 3.0)),
+        st.integers(1, 3),
+        st.integers(0, 2**32 - 1),
+    )
+    @example(16, 23, 10, 2.5, 2, 0)  # span 40: zero rows
+    def test_each_result_equals_its_own_call(self, n, rays, angles, span_factor, k, seed):
+        span = None if span_factor is None else span_factor * n
+        spec = ExperimentSpec(n=n, rays=rays, num_angles=angles, detector_span=span, art_sweeps=3, sirt_iterations=3)
+        A = build_projector(spec.stages["geometry"])
+        rng = np.random.default_rng(seed)
+        sinos = [Sinogram(rays, angles, rng.standard_normal(rays * angles)) for _ in range(k)]
+        truth = Image(n, rng.random(n * n))
+        for method in METHODS:
+            if method == "sirt" and A.active_rows.size == 0:
+                continue  # SIRT rejects an operator with no nonzero row
+            for t in (truth, None):
+                pairs = reconstruct(method, sinos, spec, A, t)
+                assert len(pairs) == k
+                for sino, (img, curve) in zip(sinos, pairs):
+                    [(want_img, want_curve)] = reconstruct(method, [sino], spec, A, t)
+                    assert np.array_equal(img.pixels, want_img.pixels)
+                    assert np.array_equal(curve.values, want_curve.values)
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_bad_lists_rejected_before_any_projector_or_solve(self, tmp_path, monkeypatch, method):
+        spec = small_spec(tmp_path)  # 23 rays, 10 angles: the transposed shape has as many values
+        sino = forward_project(build_projector(spec.stages["geometry"]), generate_phantom(spec.phantom, spec.n))
+        for name in ("build_projector", "fbp", "art", "sirt"):
+            monkeypatch.setattr(pipeline, name, None)
+        transposed = Sinogram(spec.num_angles, spec.rays, sino.values)
+        with pytest.raises(ValueError, match=r"^sinogram is 10x23 but geometry expects 23x10$"):
+            reconstruct(method, [sino, transposed], spec)
+        with pytest.raises(ValueError, match=r"^reconstruct needs at least one sinogram$"):
+            reconstruct(method, [], spec)
 
 
 class TestRunExperiment:
@@ -270,7 +316,9 @@ class TestRunExperiment:
         A = build_projector(staged.stages["geometry"])
         truth, clean, branches, front = pipeline._front_end(staged, A)
         recons = {
-            (m, br): reconstruct(m, sino, staged, A, truth) for m in staged.methods for br, sino in branches.items()
+            (m, br): reconstruct(m, [sino], staged, A, truth)[0]
+            for m in staged.methods
+            for br, sino in branches.items()
         }
         assert not Path(staged.output_dir).exists()
         assert pipeline._write(staged, truth, clean, branches, front, recons) == record
@@ -286,7 +334,9 @@ class TestRunExperiment:
         staged = small_spec(tmp_path, output_dir=str(tmp_path / "staged"))
         A = build_projector(staged.stages["geometry"])
         truth, clean, branches, front = pipeline._front_end(staged, A)
-        recons = {(m, br): reconstruct(m, branches[br], staged, A, truth) for m in staged.methods for br in BRANCHES}
+        recons = {
+            (m, br): reconstruct(m, [branches[br]], staged, A, truth)[0] for m in staged.methods for br in BRANCHES
+        }
         per_branch = pipeline._write(staged, truth, clean, branches, front, recons)
 
         calls = []
