@@ -21,7 +21,6 @@ from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.spatial import cKDTree, distance
 
 from gtvtomo.phantoms import flat_finite
 from gtvtomo.projector import top_eigenvalue
@@ -158,6 +157,8 @@ def build_graph(patches: np.ndarray, cfg: PatchConfig) -> PatchGraph:
         N*k directed neighbor pairs.  When every K-NN distance is zero the
         bandwidth falls back to 1.0 so identical patches keep weight 1.
     """
+    from scipy.spatial import cKDTree, distance  # imported here, so commands without a graph do not load it
+
     patches = np.asarray(patches, dtype=np.float64)
     if patches.ndim != 2:
         raise ValueError(f"patches must be a 2-D array, got shape {patches.shape}")
@@ -168,7 +169,7 @@ def build_graph(patches: np.ndarray, cfg: PatchConfig) -> PatchGraph:
     if not np.all(np.isfinite(patches)):
         raise ValueError("patches must be finite (found NaN or inf)")
 
-    dist, idx = cKDTree(patches).query(patches, k=k + 2)
+    dist, idx = cKDTree(patches, leafsize=48).query(patches, k=k + 2)  # leaves of 48 query faster than 16
     sigma = float(dist[:, 1 : k + 1].mean())
     if sigma == 0.0:
         sigma = 1.0

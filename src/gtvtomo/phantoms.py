@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import ndimage
 
 PHANTOM_KINDS = ("shepp-logan", "smooth", "binary", "grains", "fourphases")
 
@@ -172,6 +171,8 @@ def _grains(n: int, seed: int) -> np.ndarray:
 
 
 def _fourphases(n: int, seed: int) -> np.ndarray:
+    from scipy import ndimage  # imported here, so the other kinds do not load it
+
     rng = np.random.default_rng(seed)
     field_ = ndimage.gaussian_filter(rng.standard_normal((n, n)), sigma=n / 16.0)
     cuts = np.quantile(field_, [0.25, 0.5, 0.75])

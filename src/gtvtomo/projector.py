@@ -16,15 +16,14 @@ from functools import cached_property
 import numpy as np
 import scipy.sparse as sp
 from scipy.sparse._sparsetools import csc_matvec, csr_matvec
-from scipy.sparse.linalg import LinearOperator, eigsh
 
 from gtvtomo.phantoms import Image, flat_finite
 
 _CROSSING_TOL = 1e-12
 
 
-def spmv(arrays, x: np.ndarray, out: np.ndarray, transpose: bool = False) -> np.ndarray:
-    """Zero ``out``, write ``M @ x`` into it (``M.T @ x`` if ``transpose``) and return it.
+def spmv(arrays, x: np.ndarray, out: np.ndarray, transpose: bool = False, add: bool = False) -> np.ndarray:
+    """Write ``M @ x`` (``M.T @ x`` if ``transpose``) into ``out``, zeroed first unless ``add``, and return it.
 
     ``arrays`` are a CSR matrix ``M``'s ``(indptr, indices, data)``, which are
     also ``M.T``'s CSC arrays.  scipy's compiled ``csr_matvec``/``csc_matvec``,
@@ -33,14 +32,23 @@ def spmv(arrays, x: np.ndarray, out: np.ndarray, transpose: bool = False) -> np.
     of the dtype ``@`` returns, the result is bit for bit that of ``@``.  They
     read ``indices`` and ``data`` through ``indptr``'s own offsets, so rows
     ``lo:hi`` of ``M`` are ``(M.indptr[lo:hi + 1], M.indices, M.data)``.
+
+    With ``add``, ``out`` is not zeroed and the product's terms are added
+    into it one by one.  Where each entry of ``out`` gets at most one term, as
+    in the transposed product of rows with disjoint supports, the result is
+    bit for bit ``out + (M.T @ x)`` for an ``out`` with no -0.0 entry.
+    ``out`` must then have the dtype ``@`` returns.
     """
-    out.fill(0)
+    if not add:
+        out.fill(0)
     (csc_matvec if transpose else csr_matvec)(out.size, x.size, *arrays, x, out)
     return out
 
 
 def top_eigenvalue(op) -> float:
     """Top eigenvalue of a symmetric positive semidefinite ``op`` by ``eigsh`` (ARPACK Lanczos) from a seeded start."""
+    from scipy.sparse.linalg import eigsh  # imported here, as in sirt_radius, so most commands do not load it
+
     v0 = np.random.default_rng(0x5EED).standard_normal(op.shape[0])
     return float(eigsh(op, k=1, v0=v0, return_eigenvectors=False)[0])
 
@@ -177,6 +185,8 @@ class ProjectionOperator:
         active = self.active_rows
         if self.cols == 1 or active.size == 0:
             return float(active.size)
+        from scipy.sparse.linalg import LinearOperator
+
         B = self.matrix[active]
         B_t, inv_norms_sq = B.T, 1.0 / self.row_norms_sq[active]
         normal = LinearOperator(

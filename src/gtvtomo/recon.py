@@ -3,7 +3,9 @@
 FBP applies two linear operators, a ramp-filter matrix and a CSR
 backprojector, built once per geometry and setting and cached.  ART and
 SIRT consume the sparse :class:`~gtvtomo.projector.ProjectionOperator` and
-share one block row-projection step on :func:`~gtvtomo.projector.spmv`.
+share one block row-projection step on :func:`~gtvtomo.projector.spmv`.  ART's
+blocks, levels of rows with disjoint pixel supports, add ``B^T r`` straight
+into the iterate; SIRT's one block of overlapping rows goes through a buffer.
 ART's relaxation scales each row projection and SIRT's is in units of
 ``1/rho``, the inverse spectral radius of its summed projections (see
 :func:`sirt`), so both converge for relaxations in (0, 2).  A tracker callback
@@ -140,7 +142,11 @@ def _block_iterate(A: ProjectionOperator, b, rows, ends, c: float, steps: int, t
     window of the one gather ``A.matrix[rows]`` with its own window of one row
     buffer.  Its step is ``x += B^T (c * (b_B - B x) / ||a_i||^2)``, after each
     column of ``b`` passes :func:`~gtvtomo.phantoms.flat_finite`, with
-    :func:`~gtvtomo.projector.spmv` products.
+    :func:`~gtvtomo.projector.spmv` products.  Several blocks are taken to be
+    ART's levels, whose rows have disjoint pixel supports: ``B^T r`` then adds
+    into ``x`` in place, which is bit for bit the sum through a zeroed buffer.
+    One block (SIRT's, whose rows overlap), or a product of another dtype than
+    ``x``'s, goes through a column buffer of ``x``'s length.
 
     ``b`` is ``(m,)`` or ``(m, k)``.  Column ``i`` is solved on pixels
     ``i*n:(i+1)*n`` of one ``x`` of length ``k*n``, bit for bit as alone.  With
@@ -159,9 +165,11 @@ def _block_iterate(A: ProjectionOperator, b, rows, ends, c: float, steps: int, t
     columns = [flat_finite(col, A.rows, "reconstruction", "data") for col in (np.transpose(b) if batch else [b])]
     k, n = len(columns), A.cols
     spans = list(zip(ends, ends[1:]))
-    # Many small blocks (ART's levels) cost calls more than kernel time, so the stack runs each for all
-    # columns at once.  One block (SIRT's) is bound by the kernels; the stack would copy it for no time.
-    stack = k > 1 and len(spans) > 1
+    # Several blocks are ART's levels: many small ones, whose calls cost more than their kernel time, so
+    # the stack runs each for all columns at once.  One block is SIRT's, bound by the kernels; the stack
+    # would copy it for no time.
+    levels = len(spans) > 1
+    stack = k > 1 and levels
     if stack:
         b_G = [np.concatenate([col[rows[lo:hi]] for lo, hi in spans for col in columns])]
         rows = np.concatenate([rows[lo:hi] for lo, hi in spans for _ in columns])
@@ -177,10 +185,14 @@ def _block_iterate(A: ProjectionOperator, b, rows, ends, c: float, steps: int, t
                 G.indices[G.indptr[lo + i * width] : G.indptr[lo + (i + 1) * width]] += i * n
     x = np.zeros(k * n)
     dtype = np.result_type(A.matrix.dtype, x.dtype)  # the dtype ``B @ x`` returns
-    row_buf, col_buf = np.empty((len(b_G), len(rows)), dtype), np.empty(k * n, dtype)
+    # A level's rows, and column i's copies of them on pixels i*n:(i+1)*n, have disjoint pixel supports, so
+    # B^T r adds into x bit for bit as through a zeroed buffer (x is never -0.0).  SIRT's rows overlap, and
+    # the kernel cannot add a product of another dtype into x: both keep the buffer.
+    add = levels and dtype == x.dtype
+    row_buf, col_buf = np.empty((len(b_G), len(rows)), dtype), None if add else np.empty(k * n, dtype)
     w = x.size // len(b_G)  # the pixels that each entry of b_G serves
     blocks = [((G.indptr[lo : hi + 1], G.indices, G.data), b_j[lo:hi], norms_G[lo:hi], row_buf[j, lo:hi],
-               x[j * w : (j + 1) * w], col_buf[j * w : (j + 1) * w])
+               x[j * w : (j + 1) * w], None if add else col_buf[j * w : (j + 1) * w])
               for lo, hi in zip(ends, ends[1:]) for j, b_j in enumerate(b_G)]
     tracked = []
     for step in range(steps):
@@ -189,7 +201,10 @@ def _block_iterate(A: ProjectionOperator, b, rows, ends, c: float, steps: int, t
             np.subtract(b_B, r, out=r)
             r *= c
             r /= norms_B
-            x_B += spmv(arrays, r, c_B, transpose=True)
+            if add:
+                spmv(arrays, r, x_B, transpose=True, add=True)
+            else:
+                x_B += spmv(arrays, r, c_B, transpose=True)
         size = np.abs(x).reshape(k, n).max(axis=1)
         first = size if step == 0 else first
         if (size / 1e12 > first).any():

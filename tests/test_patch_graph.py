@@ -2,6 +2,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
+import scipy.spatial
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -136,8 +137,8 @@ class TestBuildGraph:
         rng = np.random.default_rng(22)
         points = np.round(rng.standard_normal((50, 4)), 1)  # rounding makes ties
         whole = build_graph(points, PatchConfig(3, 4))
-        tree = gtvtomo.patch_graph.cKDTree
-        monkeypatch.setattr(gtvtomo.patch_graph, "cKDTree", lambda data: tree(data, leafsize=rows_per_chunk))
+        tree = scipy.spatial.cKDTree
+        monkeypatch.setattr(scipy.spatial, "cKDTree", lambda data, **_: tree(data, leafsize=rows_per_chunk))
         chunked = build_graph(points, PatchConfig(3, 4))
         for name in ("edge_i", "edge_j", "weights"):
             assert getattr(chunked, name).tobytes() == getattr(whole, name).tobytes()

@@ -3,6 +3,7 @@ from math import sqrt
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -260,7 +261,7 @@ class TestSinogramType:
 
 
 class TestSpmv:
-    """``spmv`` overwrites ``out`` with exactly ``M @ x``, or ``M.T @ y`` when transposed."""
+    """``spmv`` overwrites ``out`` with exactly ``M @ x``, or ``M.T @ y`` when transposed; ``add`` adds into it."""
 
     @pytest.mark.parametrize(
         "dtype, index_dtype",
@@ -294,3 +295,26 @@ class TestSpmv:
             out = np.full(want.size, 1e300, want.dtype)
             assert spmv(arrays, v, out, transpose=transpose) is out
             assert np.array_equal(out, want)
+
+    @pytest.mark.parametrize(
+        "dtype, index_dtype",
+        [(np.float64, np.int32), (np.float32, np.int32), (np.float64, np.int64)],
+        ids=["float64", "float32", "int64-indices"],
+    )
+    @pytest.mark.parametrize("k", [1, 2], ids=["level", "stacked-level"])
+    def test_add_into_level_window_equals_sum(self, dtype, index_dtype, k):
+        # ART's gather in level order, each level's rows once per column, column i's on pixels i*n:(i+1)*n:
+        # a level window's rows have disjoint supports, so each pixel gets at most one term
+        A = build_projector(Geometry(16, 23, 10, 40.0))
+        rows, ends = A.art_schedule
+        G = sp.vstack([sp.block_diag([A.matrix[rows[lo:hi]]] * k) for lo, hi in zip(ends, ends[1:])], "csr")
+        G = G.astype(dtype)
+        G.indices, G.indptr = G.indices.astype(index_dtype), G.indptr.astype(index_dtype)
+        lo, hi = k * ends[3], k * ends[4]
+        assert hi > lo and G.shape[1] == k * A.cols
+        rng = np.random.default_rng(6)
+        x, y = rng.standard_normal(G.shape[1]), rng.standard_normal(hi - lo)
+        want = x + G[lo:hi].T @ y
+        out = x.copy()
+        assert spmv((G.indptr[lo : hi + 1], G.indices, G.data), y, out, transpose=True, add=True) is out
+        assert np.array_equal(out, want)

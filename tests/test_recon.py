@@ -1,3 +1,5 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -20,6 +22,8 @@ from gtvtomo import (
     l2_error,
     sirt,
 )
+import gtvtomo.recon
+from gtvtomo.projector import spmv
 from gtvtomo.recon import FBP_FILTERS, FBP_INTERPOLATIONS, _block_iterate, _fbp_operators
 
 # Frozen self-oracle threshold for FBP on the noiseless Shepp-Logan sinogram
@@ -614,6 +618,40 @@ class TestColumnStack:
             solve(A, bad, cfg)
         with pytest.raises(ValueError, match=r"^data must be a flat vector of length 4, got shape \(4, 0\)$"):
             solve(A, np.empty((A.rows, 0)), cfg)
+
+
+class TestLevelAddPath:
+    """ART adds each level's ``B^T r`` straight into ``x``; SIRT, whose rows overlap, never does."""
+
+    @settings(max_examples=40, deadline=None, database=None)
+    @given(art_problems(), st.integers(1, 3))
+    @example((Geometry(64, 95, 36), 0, 0.25), 2)
+    @example((Geometry(6, 9, 1), 1, 1.0), 2)  # one angle, one level: the buffered step
+    @example((Geometry(4, 2, 3, detector_span=12.0), 4, 0.5), 2)  # no nonzero row
+    def test_added_windows_have_unique_pixels(self, problem, k):
+        """Every window of the k-column stacked gather that adds into ``x`` holds each pixel at most once."""
+        g, seed, lam = problem
+        A = build_projector(g)
+        b = np.random.default_rng(seed).standard_normal((A.rows, k))
+        added = []
+
+        def spy(arrays, x, out, transpose=False, add=False):
+            if add:
+                indptr, indices, _ = arrays
+                added.append(indices[indptr[0] : indptr[-1]].copy())
+            return spmv(arrays, x, out, transpose=transpose, add=add)
+
+        with mock.patch.object(gtvtomo.recon, "spmv", spy):
+            art(A, b, ArtConfig(lam=lam, sweeps=2))
+            levels = art_levels(A)
+            assert len(added) == (2 * len(levels) if len(levels) > 1 else 0)
+            for pixels, level in zip(added, levels * 2):
+                assert pixels.size == k * A.matrix[level].nnz
+                assert np.unique(pixels).size == pixels.size
+            added.clear()
+            if A.active_rows.size:
+                sirt(A, b, SirtConfig(lam=lam, iterations=2))
+            assert added == []
 
 
 class TestDataScale:
