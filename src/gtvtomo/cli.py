@@ -80,8 +80,7 @@ def int_list(raw):
     return [int(s) for s in raw.split(",") if s.strip()]
 
 
-def _add_phantom(sub):
-    p = sub.add_parser("phantom", help="generate a test image")
+def _phantom_flags(p):
     p.add_argument("--kind", choices=PHANTOM_KINDS, default="shepp-logan")
     p.add_argument("--n", type=int, default=64)
     p.add_argument("--seed", type=int, default=0)
@@ -90,8 +89,7 @@ def _add_phantom(sub):
     p.set_defaults(run=_cmd_phantom)
 
 
-def _add_project(sub):
-    p = sub.add_parser("project", help="forward project an image")
+def _project_flags(p):
     p.add_argument("--image", required=True)
     _add_spec_flags(
         p,
@@ -104,8 +102,7 @@ def _add_project(sub):
     p.set_defaults(run=_cmd_project)
 
 
-def _add_noise(sub):
-    p = sub.add_parser("noise", help="add relative Gaussian noise to a sinogram")
+def _noise_flags(p):
     p.add_argument("--sino", required=True)
     p.add_argument("--level", type=float, required=True)
     p.add_argument("--seed", type=int, default=0)
@@ -113,17 +110,7 @@ def _add_noise(sub):
     p.set_defaults(run=_cmd_noise)
 
 
-def _add_denoise(sub):
-    p = sub.add_parser(
-        "denoise",
-        help="graph total-variation denoising of a sinogram",
-        description=(
-            "The regularization weight multiplies a total variation that "
-            "counts each unordered pixel pair once; if your weight was "
-            "calibrated against a convention summing over ordered pairs, "
-            "double it here."
-        ),
-    )
+def _denoise_flags(p):
     p.add_argument("--sino", required=True)
     p.add_argument("--gamma", type=float, required=True)
     _add_spec_flags(
@@ -137,8 +124,7 @@ def _add_denoise(sub):
     p.set_defaults(run=_cmd_denoise)
 
 
-def _add_reconstruct(sub):
-    p = sub.add_parser("reconstruct", help="reconstruct an image from a sinogram")
+def _reconstruct_flags(p):
     p.add_argument("--sino", required=True)
     p.add_argument("--method", choices=METHODS, default="fbp")
     _add_spec_flags(
@@ -156,8 +142,7 @@ def _add_reconstruct(sub):
     p.set_defaults(run=_cmd_reconstruct)
 
 
-def _add_experiment(sub):
-    p = sub.add_parser("experiment", help="full raw-vs-denoised pipeline run")
+def _experiment_flags(p):
     p.add_argument("--spec", help="flat 'key = value' spec file")
     _add_spec_flags(
         p,
@@ -170,8 +155,7 @@ def _add_experiment(sub):
     p.set_defaults(run=_cmd_experiment)
 
 
-def _add_table1(sub):
-    p = sub.add_parser("table1", help="built-in four-row raw-vs-denoised benchmark")
+def _table1_flags(p):
     p.add_argument("--out-dir", required=True)
     p.add_argument("--seeds", type=int_list, default="1,2,3,4,5", help="comma-separated seed list")
     _add_spec_flags(
@@ -183,16 +167,41 @@ def _add_table1(sub):
     p.set_defaults(run=_cmd_table1)
 
 
-def _build_parser() -> argparse.ArgumentParser:
+# Each subcommand's ``add_parser`` keywords and the function that adds its flags, in help order.
+_SUBCOMMANDS = {
+    "phantom": ({"help": "generate a test image"}, _phantom_flags),
+    "project": ({"help": "forward project an image"}, _project_flags),
+    "noise": ({"help": "add relative Gaussian noise to a sinogram"}, _noise_flags),
+    "denoise": (
+        {
+            "help": "graph total-variation denoising of a sinogram",
+            "description": (
+                "The regularization weight multiplies a total variation that "
+                "counts each unordered pixel pair once; if your weight was "
+                "calibrated against a convention summing over ordered pairs, "
+                "double it here."
+            ),
+        },
+        _denoise_flags,
+    ),
+    "reconstruct": ({"help": "reconstruct an image from a sinogram"}, _reconstruct_flags),
+    "experiment": ({"help": "full raw-vs-denoised pipeline run"}, _experiment_flags),
+    "table1": ({"help": "built-in four-row raw-vs-denoised benchmark"}, _table1_flags),
+}
+
+
+def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser with every subcommand; only ``command``'s flags are added, or every one's if it is None.
+
+    A parse reaches the flags of one subcommand alone, so a parser built for
+    it parses, reports errors and prints help exactly as the full parser does.
+    """
     parser = argparse.ArgumentParser(prog="gtvtomo", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-    _add_phantom(sub)
-    _add_project(sub)
-    _add_noise(sub)
-    _add_denoise(sub)
-    _add_reconstruct(sub)
-    _add_experiment(sub)
-    _add_table1(sub)
+    for name, (kwargs, add_flags) in _SUBCOMMANDS.items():
+        p = sub.add_parser(name, **kwargs)
+        if command in (None, name):
+            add_flags(p)
     return parser
 
 
@@ -270,7 +279,9 @@ def _cmd_table1(args) -> int:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    command = argv[0] if argv and argv[0] in _SUBCOMMANDS else None  # argparse dispatches on the first word
+    args = _build_parser(command).parse_args(argv)
     try:
         return args.run(args)
     except ValueError as exc:

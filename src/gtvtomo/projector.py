@@ -204,14 +204,19 @@ def build_projector(geometry: Geometry) -> ProjectionOperator:
     the image border, so segments outside the image land in out-of-range
     cells and are dropped.  Row ``r * q + k`` corresponds to ray r at angle
     index k; column ``i * n + j`` to the pixel in image row i, column j.
+
+    Row and cell indices are collected as int32, the index dtype scipy
+    gives the CSR matrix, so it makes no down-cast copy of them; int64 only
+    where ``p * q`` or ``n * n`` does not fit int32.
     """
     n, p, q = geometry.n, geometry.p, geometry.q
+    index = np.int32 if max(p * q, n * n) <= np.iinfo(np.int32).max else np.int64
     h = n / 2.0
     lines = np.arange(n + 1) - h
     theta = np.deg2rad(geometry.angles)
     t = geometry.offsets[:, None]
-    ray_rows = np.arange(p, dtype=np.int64)[:, None] * q
-    entries = []
+    ray_rows = np.arange(p, dtype=index)[:, None] * q
+    parts = ([], [], [])  # per angle: rows, cells, lengths
     for k in range(q):
         # The ray at parameter u is the point (t*c - u*s, t*s + u*c).
         c, s = float(np.cos(theta[k])), float(np.sin(theta[k]))
@@ -228,11 +233,19 @@ def build_projector(geometry: Geometry) -> ProjectionOperator:
         cols = np.floor((t * c - mid * s) + h)
         rows = np.floor(h - (t * s + mid * c))
         keep = (lengths > _CROSSING_TOL) & (cols >= 0) & (cols < n) & (rows >= 0) & (rows < n)
-        cells = (rows[keep] * n + cols[keep]).astype(np.int64)
-        entries.append((np.broadcast_to(ray_rows + k, keep.shape)[keep], cells, lengths[keep]))
-    row_idx, col_idx, data = (np.concatenate(parts) for parts in zip(*entries))
+        parts[0].append(np.broadcast_to(ray_rows + k, keep.shape)[keep])
+        parts[1].append((rows[keep] * n + cols[keep]).astype(index))
+        parts[2].append(lengths[keep])
+    row_idx, col_idx, data = (_joined(part) for part in parts)
     matrix = sp.coo_matrix((data, (row_idx, col_idx)), shape=(p * q, n * n)).tocsr()
     return ProjectionOperator(matrix, geometry)
+
+
+def _joined(parts: list) -> np.ndarray:
+    """The concatenation of ``parts``, which is emptied so each piece is freed once it is copied."""
+    joined = np.concatenate(parts)
+    parts.clear()
+    return joined
 
 
 def forward_project(A: ProjectionOperator, x) -> Sinogram:

@@ -3,7 +3,10 @@
 Raw formats carry a one-line ASCII header (``IMG n`` or ``SINO p q``)
 followed by little-endian float64 payload, and round-trip exactly.  PGM is
 lossy (scaled to the 16-bit range) and intended only for viewing.  Every
-binary file goes through :func:`_write_raw`, every CSV through :func:`write_csv`.
+binary file goes through :func:`_write_raw`, every CSV but the patch-graph
+edge list through :func:`write_csv`.  The edge list, by far the longest CSV,
+is formatted in one pass by :func:`write_graph_edges_csv` to the bytes
+:func:`write_csv` would write.
 """
 
 from __future__ import annotations
@@ -112,4 +115,11 @@ def read_profile_csv(path) -> np.ndarray:
 
 
 def write_graph_edges_csv(g, path) -> None:
-    write_csv(zip(g.edge_i.tolist(), g.edge_j.tolist(), g.weights.tolist()), path, ("i", "j", "weight"))
+    """Header ``i,j,weight``, then one CRLF-terminated ``i,j,repr(weight)`` row per edge: :func:`write_csv`'s bytes.
+
+    An integer or float cell is never quoted, so each row is formatted
+    directly, without ``csv.writer``'s per-cell dispatch.
+    """
+    rows = zip(g.edge_i.tolist(), g.edge_j.tolist(), g.weights.tolist())
+    with open(path, "w", newline="") as fh:
+        fh.write("i,j,weight\r\n" + "".join([f"{i},{j},{w!r}\r\n" for i, j, w in rows]))

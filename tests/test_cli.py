@@ -68,10 +68,18 @@ FIELD_VALUES = {
 FLAG_NAMES = {"output_dir": "--out-dir"}
 
 
-def subparsers():
-    parser = cli._build_parser()
+def subparsers(command=None):
+    parser = cli._build_parser(command)
     action = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
     return action.choices
+
+
+def parse_outcome(parse, argv, capsys):
+    """Exit code, stdout and stderr of a ``parse`` of ``argv`` that exits, as argparse does on help and usage errors."""
+    with pytest.raises(SystemExit) as exc:
+        parse(argv)
+    out, err = capsys.readouterr()
+    return exc.value.code, out, err
 
 
 @pytest.fixture
@@ -138,6 +146,36 @@ class TestSurface:
             "denoise": DenoiseConfig(gamma=0.0, epsilon=1e-5, max_iters=50),
         }
         assert spec.stages is spec.stages  # built once, not per access
+
+
+class TestOneCommandParser:
+    """``main`` adds the flags of the invoked subcommand alone; what argparse prints and exits with is unchanged."""
+
+    def test_only_the_named_subcommand_gets_flags(self):
+        for command in SURFACE:
+            with_flags = {name for name, sub in subparsers(command).items() if len(sub._actions) > 1}
+            assert with_flags == {command}  # the rest hold only -h
+
+    @pytest.mark.parametrize("argv", [["--help"]] + [[name, "--help"] for name in SURFACE], ids=lambda a: a[0])
+    def test_help_equals_the_full_parsers(self, capsys, argv):
+        full = parse_outcome(cli._build_parser().parse_args, argv, capsys)
+        assert full[0] == 0 and full[1].startswith("usage: gtvtomo")
+        assert parse_outcome(main, argv, capsys) == full
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["bogus"], "argument command: invalid choice: 'bogus'"),
+            (["phantom", "--n", "8"], "the following arguments are required: --out"),
+            (["phantom", "--out", "ph.img", "extra"], "unrecognized arguments: extra"),  # the top-level usage
+            ([], "the following arguments are required: command"),
+        ],
+        ids=["unknown-command", "missing-out", "extra-argument", "no-command"],
+    )
+    def test_usage_errors_equal_the_full_parsers(self, capsys, argv, message):
+        full = parse_outcome(cli._build_parser().parse_args, argv, capsys)
+        assert full[0] == 2 and full[1] == "" and message in full[2]
+        assert parse_outcome(main, argv, capsys) == full
 
 
 class TestSpecValueErrors:

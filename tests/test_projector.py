@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import FrozenInstanceError
 from math import sqrt
 
@@ -175,6 +176,66 @@ class TestSiddonProperties:
         x = rng.standard_normal(A.cols)
         y = rng.standard_normal(A.rows)
         assert adjoint_gap(A.matrix @ x, y, x, A.transpose_matrix @ y) <= 1e-10
+
+
+def coo_reference(g: Geometry) -> sp.csr_matrix:
+    """The projection matrix assembled from int64 COO coordinates, the reference ``build_projector`` must equal."""
+    n, p, q = g.n, g.p, g.q
+    h = n / 2.0
+    lines = np.arange(n + 1) - h
+    theta = np.deg2rad(g.angles)
+    t = g.offsets[:, None]
+    ray_rows = np.arange(p, dtype=np.int64)[:, None] * q
+    entries = []
+    for k in range(q):
+        c, s = float(np.cos(theta[k])), float(np.sin(theta[k]))
+        crossings = []
+        if abs(s) > 1e-12:
+            crossings.append((t * c - lines) / s)
+        if abs(c) > 1e-12:
+            crossings.append((lines - t * s) / c)
+        ends = np.sort(np.concatenate(crossings, axis=1), axis=1)
+        lengths = np.diff(ends, axis=1)
+        mid = 0.5 * (ends[:, :-1] + ends[:, 1:])
+        cols = np.floor((t * c - mid * s) + h)
+        rows = np.floor(h - (t * s + mid * c))
+        keep = (lengths > 1e-12) & (cols >= 0) & (cols < n) & (rows >= 0) & (rows < n)
+        cells = (rows[keep] * n + cols[keep]).astype(np.int64)
+        entries.append((np.broadcast_to(ray_rows + k, keep.shape)[keep], cells, lengths[keep]))
+    row_idx, col_idx, data = (np.concatenate(parts) for parts in zip(*entries))
+    return sp.coo_matrix((data, (row_idx, col_idx)), shape=(p * q, n * n)).tocsr()
+
+
+class TestAssembly:
+    """``build_projector``'s int32 assembly is the int64 COO reference, array for array and dtype for dtype."""
+
+    @settings(max_examples=60, deadline=None, database=None)
+    @given(geometries())
+    @example(Geometry(7, 1, 4))  # single ray, 0° and 90°
+    @example(Geometry(5, 12, 2, detector_span=5.0))  # only 0° and 90°
+    @example(Geometry(64, 95, 36, detector_span=200.0))  # most rays miss the image
+    @example(Geometry(16, 23, 10, 1e20))  # far-off rays' cells overflow int64 before the mask
+    def test_equals_coo_reference(self, g):
+        got, want = build_projector(g).matrix, coo_reference(g)
+        for name in ("indptr", "indices", "data"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert a.dtype == b.dtype and np.array_equal(a, b), name
+
+    def test_desk_scale_indices_are_int32(self, projector64):
+        M = projector64.matrix
+        assert M.indptr.dtype == M.indices.dtype == np.int32
+
+    def test_desk_scale_build_peak(self, geometry64):
+        # the COO (16 B an entry) and CSR (12 B) arrays of 194 744 entries at once are 5.5 MB; int64 COO
+        # coordinates (6.9 MB) or per-angle pieces kept past their concatenation (9.2 MB) push the peak higher
+        build_projector(geometry64)  # first-call allocations stay out of the measurement
+        tracemalloc.start()
+        try:
+            build_projector(geometry64)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 6.5e6
 
 
 class TestForwardProject:

@@ -137,3 +137,15 @@ class TestCsv:
         assert lines[0] == "i,j,weight"
         assert lines[1] == "0,1,0.5"
         assert lines[2] == "1,2,0.25"
+
+    def test_graph_edges_are_write_csv_bytes(self, tmp_path):
+        edges = [(0, 3419, 0.0), (1, 3418, 5e-324), (2, 3417, 1e-05), (3, 3416, 1.0), (3419, 3420, 1e16)]
+        g = graph_from_edges(3421, edges)
+        assert g.edge_i.dtype == g.edge_j.dtype == np.int64
+        write_graph_edges_csv(g, tmp_path / "edges.csv")
+        write_csv(zip(g.edge_i, g.edge_j, g.weights), tmp_path / "numpy.csv", ("i", "j", "weight"))  # numpy scalars
+        lists = zip(g.edge_i.tolist(), g.edge_j.tolist(), g.weights.tolist())
+        write_csv(lists, tmp_path / "lists.csv", ("i", "j", "weight"))
+        edges = (tmp_path / "edges.csv").read_bytes()
+        assert edges == (tmp_path / "numpy.csv").read_bytes() == (tmp_path / "lists.csv").read_bytes()
+        assert edges == b"i,j,weight\r\n0,3419,0.0\r\n1,3418,5e-324\r\n2,3417,1e-05\r\n3,3416,1.0\r\n3419,3420,1e+16\r\n"

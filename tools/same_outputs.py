@@ -33,7 +33,9 @@ ROOT = Path(__file__).resolve().parents[1]
 # every other phantom kind, ART and SIRT at a span where most rows miss the
 # image (1 380 of 3 420 active, 36 ART levels), one experiment with every
 # method, the same at that span, a smooth experiment with SIRT alone (each
-# iterative method there solves both branches in one call), and two table1 runs.
+# iterative method there solves both branches in one call), two table1 runs,
+# then the help of gtvtomo and of each subcommand, an unknown subcommand and a
+# missing required flag (argparse's output and exit code 2, no file written).
 COMMANDS = (
     "phantom --kind shepp-logan --n 64 --out ph.img --pgm ph.pgm",
     "project --image ph.img --rays 95 --num-angles 36 --out clean.sino --csv clean.csv",
@@ -61,6 +63,16 @@ COMMANDS = (
     "experiment --phantom smooth --noise-level 0.05 --methods fbp,sirt --out-dir run-smooth",
     "table1 --out-dir bench --seeds 1,2,3,4,5",
     "table1 --out-dir bench-override --seeds 1,2 --noise-override 0.03 --n 32",
+    "--help",
+    "phantom --help",
+    "project --help",
+    "noise --help",
+    "denoise --help",
+    "reconstruct --help",
+    "experiment --help",
+    "table1 --help",
+    "bogus --out bogus.img",
+    "phantom --n 8",
 )
 
 
