@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import sys
 from dataclasses import fields, replace
+from functools import cache
 from pathlib import Path
 
 from gtvtomo.gtv_denoise import denoise
@@ -190,18 +191,13 @@ _SUBCOMMANDS = {
 }
 
 
-def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The parser with every subcommand; only ``command``'s flags are added, or every one's if it is None.
-
-    A parse reaches the flags of one subcommand alone, so a parser built for
-    it parses, reports errors and prints help exactly as the full parser does.
-    """
+@cache
+def _build_parser() -> argparse.ArgumentParser:
+    """The parser with every subcommand and its flags, built at the first call and shared by every later one."""
     parser = argparse.ArgumentParser(prog="gtvtomo", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (kwargs, add_flags) in _SUBCOMMANDS.items():
-        p = sub.add_parser(name, **kwargs)
-        if command in (None, name):
-            add_flags(p)
+        add_flags(sub.add_parser(name, **kwargs))
     return parser
 
 
@@ -279,9 +275,7 @@ def _cmd_table1(args) -> int:
 
 
 def main(argv=None) -> int:
-    argv = sys.argv[1:] if argv is None else list(argv)
-    command = argv[0] if argv and argv[0] in _SUBCOMMANDS else None  # argparse dispatches on the first word
-    args = _build_parser(command).parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
         return args.run(args)
     except ValueError as exc:

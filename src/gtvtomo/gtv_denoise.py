@@ -38,8 +38,8 @@ class DenoiseConfig:
             raise ValueError(f"gamma must be finite and >= 0, got {self.gamma}")
         if not 0.0 < self.epsilon < np.inf:
             raise ValueError(f"epsilon must be positive and finite, got {self.epsilon}")
-        if self.max_iters < 1:
-            raise ValueError(f"max_iters must be >= 1, got {self.max_iters}")
+        if not isinstance(self.max_iters, (int, np.integer)) or self.max_iters < 1:
+            raise ValueError(f"max_iters must be an integer >= 1, got {self.max_iters}")
 
 
 @dataclass(eq=False)

@@ -22,7 +22,7 @@ class NoiseSpec:
 
     def __post_init__(self):
         if not np.isfinite(self.relative_level) or self.relative_level < 0:
-            raise ValueError(f"relative noise level must be >= 0, got {self.relative_level}")
+            raise ValueError(f"relative noise level must be finite and >= 0, got {self.relative_level}")
         if not isinstance(self.seed, (int, np.integer)):
             raise ValueError(f"seed must be an integer, got {self.seed!r}")
         if self.seed < 0:

@@ -38,10 +38,10 @@ class PatchConfig:
     k: int = 10
 
     def __post_init__(self):
-        if self.patch_side < 1 or self.patch_side % 2 == 0:
-            raise ValueError(f"patch side must be odd and positive, got {self.patch_side}")
-        if self.k < 1:
-            raise ValueError(f"neighbor count must be >= 1, got {self.k}")
+        if not isinstance(self.patch_side, (int, np.integer)) or self.patch_side < 1 or self.patch_side % 2 == 0:
+            raise ValueError(f"patch side must be an odd positive integer, got {self.patch_side}")
+        if not isinstance(self.k, (int, np.integer)) or self.k < 1:
+            raise ValueError(f"neighbor count k must be an integer >= 1, got {self.k}")
 
 
 @dataclass(eq=False)

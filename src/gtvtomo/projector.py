@@ -69,10 +69,10 @@ class Geometry:
     detector_span: float | None = None
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValueError(f"image side must be positive, got {self.n}")
-        if self.p < 1 or self.q < 1:
-            raise ValueError(f"need at least one ray and one angle, got p={self.p}, q={self.q}")
+        if not isinstance(self.n, (int, np.integer)) or self.n < 1:
+            raise ValueError(f"image side n must be a positive integer, got {self.n}")
+        if not all(isinstance(v, (int, np.integer)) and v >= 1 for v in (self.p, self.q)):
+            raise ValueError(f"need integer counts of at least one ray and one angle, got p={self.p}, q={self.q}")
         span = float(self.n) * np.sqrt(2.0) if self.detector_span is None else self.detector_span
         object.__setattr__(self, "detector_span", float(span))
         if not self.n <= self.detector_span < np.inf:

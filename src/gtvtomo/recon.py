@@ -46,8 +46,8 @@ class ArtConfig:
     def __post_init__(self):
         if not 0.0 < self.lam < 2.0:
             raise ValueError(f"ART relaxation must be in (0, 2), got {self.lam}")
-        if self.sweeps < 1:
-            raise ValueError(f"sweeps must be >= 1, got {self.sweeps}")
+        if not isinstance(self.sweeps, (int, np.integer)) or self.sweeps < 1:
+            raise ValueError(f"sweeps must be an integer >= 1, got {self.sweeps}")
 
 
 @dataclass(frozen=True)
@@ -64,8 +64,8 @@ class SirtConfig:
     def __post_init__(self):
         if not 0.0 < self.lam < 2.0:
             raise ValueError(f"SIRT relaxation lam must be in (0, 2), got {self.lam}")
-        if self.iterations < 1:
-            raise ValueError(f"iterations must be >= 1, got {self.iterations}")
+        if not isinstance(self.iterations, (int, np.integer)) or self.iterations < 1:
+            raise ValueError(f"iterations must be an integer >= 1, got {self.iterations}")
 
 
 @dataclass(frozen=True)
@@ -169,8 +169,7 @@ def _block_iterate(A: ProjectionOperator, b, rows, ends, c: float, steps: int, t
     # the stack runs each for all columns at once.  One block is SIRT's, bound by the kernels; the stack
     # would copy it for no time.
     levels = len(spans) > 1
-    stack = k > 1 and levels
-    if stack:
+    if levels:
         b_G = [np.concatenate([col[rows[lo:hi]] for lo, hi in spans for col in columns])]
         rows = np.concatenate([rows[lo:hi] for lo, hi in spans for _ in columns])
         ends = [k * e for e in ends]
@@ -178,7 +177,7 @@ def _block_iterate(A: ProjectionOperator, b, rows, ends, c: float, steps: int, t
         b_G = [col[rows] for col in columns]
     # Not cached on the operator: a cached copy of the gather raised peak RSS.
     G, norms_G = A.matrix[rows], A.row_norms_sq[rows]
-    if stack:  # in place, so the stack costs one gather: column i's rows read pixels i*n:(i+1)*n
+    if levels:  # in place, so the stack costs one gather: column i's rows read pixels i*n:(i+1)*n
         for lo, hi in zip(ends, ends[1:]):
             width = (hi - lo) // k
             for i in range(1, k):

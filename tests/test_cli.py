@@ -1,10 +1,14 @@
 import argparse
+import os
+import subprocess
+import sys
 from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import gtvtomo
 import gtvtomo.cli as cli
 from gtvtomo import ExperimentSpec, Sinogram
 from gtvtomo.cli import main
@@ -66,10 +70,11 @@ FIELD_VALUES = {
     "output_dir": "elsewhere",
 }
 FLAG_NAMES = {"output_dir": "--out-dir"}
+SRC = Path(gtvtomo.__file__).resolve().parents[1]
 
 
-def subparsers(command=None):
-    parser = cli._build_parser(command)
+def subparsers():
+    parser = cli._build_parser()
     action = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
     return action.choices
 
@@ -149,18 +154,23 @@ class TestSurface:
 
 
 class TestOneCommandParser:
-    """``main`` adds the flags of the invoked subcommand alone; what argparse prints and exits with is unchanged."""
+    """One command-line parser per process, built at the first ``main`` call and reused by every later one."""
 
-    def test_only_the_named_subcommand_gets_flags(self):
-        for command in SURFACE:
-            with_flags = {name for name, sub in subparsers(command).items() if len(sub._actions) > 1}
-            assert with_flags == {command}  # the rest hold only -h
+    def test_built_once(self):
+        assert cli._build_parser() is cli._build_parser()
+
+    def test_import_builds_no_parser(self):
+        code = "import gtvtomo.cli as cli; print(cli._build_parser.cache_info().currsize)"
+        proc = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": str(SRC)},
+                              capture_output=True, text=True)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "0\n", "")
 
     @pytest.mark.parametrize("argv", [["--help"]] + [[name, "--help"] for name in SURFACE], ids=lambda a: a[0])
     def test_help_equals_the_full_parsers(self, capsys, argv):
-        full = parse_outcome(cli._build_parser().parse_args, argv, capsys)
-        assert full[0] == 0 and full[1].startswith("usage: gtvtomo")
-        assert parse_outcome(main, argv, capsys) == full
+        code, out, err = parse_outcome(main, argv, capsys)
+        assert (code, err) == (0, "")
+        assert out.startswith(" ".join(["usage: gtvtomo", *argv[:-1]]))
+        assert all(name in out for name in (SURFACE if argv == ["--help"] else SURFACE[argv[0]]))
 
     @pytest.mark.parametrize(
         "argv, message",
@@ -173,9 +183,30 @@ class TestOneCommandParser:
         ids=["unknown-command", "missing-out", "extra-argument", "no-command"],
     )
     def test_usage_errors_equal_the_full_parsers(self, capsys, argv, message):
-        full = parse_outcome(cli._build_parser().parse_args, argv, capsys)
-        assert full[0] == 2 and full[1] == "" and message in full[2]
-        assert parse_outcome(main, argv, capsys) == full
+        code, out, err = parse_outcome(main, argv, capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith("usage: gtvtomo") and message in err
+
+    def test_stage_chain_after_help_and_usage_error(self, tmp_path, monkeypatch, capsys):
+        """A help and a usage error leave the shared parser as it was: the chain writes the same bytes twice."""
+        assert parse_outcome(main, ["--help"], capsys)[0] == 0
+        assert parse_outcome(main, ["phantom", "--n", "8"], capsys)[0] == 2
+        chain = [
+            "phantom --n 16 --out ph.img --pgm ph.pgm",
+            "project --image ph.img --rays 23 --num-angles 10 --out clean.sino --csv clean.csv",
+            "noise --sino clean.sino --level 0.08 --seed 1 --out noisy.sino",
+            "denoise --sino noisy.sino --gamma 0.5 --out denoised.sino --trace trace.csv --edges edges.csv",
+            "reconstruct --sino denoised.sino --n 16 --method art --art-sweeps 3 --truth ph.img --curve curve.csv"
+            " --out rec.img",
+        ]
+        written = []
+        for run in ("first", "second"):
+            (tmp_path / run).mkdir()
+            monkeypatch.chdir(tmp_path / run)
+            assert [main(command.split()) for command in chain] == [0] * len(chain)
+            written.append({f.name: f.read_bytes() for f in sorted(Path().iterdir())})
+        assert len(written[0]) == 10
+        assert written[0] == written[1]
 
 
 class TestSpecValueErrors:
@@ -342,9 +373,9 @@ class TestEarlyErrors:
     @pytest.mark.parametrize(
         "extra, message",
         [
-            (["--seeds", "1", "--noise-override", "-1"], "relative noise level must be >= 0, got -1.0"),
-            (["--seeds", "1", "--noise-override", "nan"], "relative noise level must be >= 0, got nan"),
-            (["--seeds", "1", "--noise-override", "inf"], "relative noise level must be >= 0, got inf"),
+            (["--seeds", "1", "--noise-override", "-1"], "relative noise level must be finite and >= 0, got -1.0"),
+            (["--seeds", "1", "--noise-override", "nan"], "relative noise level must be finite and >= 0, got nan"),
+            (["--seeds", "1", "--noise-override", "inf"], "relative noise level must be finite and >= 0, got inf"),
             (["--seeds", "1,-2"], "seed must be >= 0, got -2"),
             (["--seeds", "1,1"], "each seed may be listed once, got [1, 1]"),
         ],

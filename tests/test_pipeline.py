@@ -103,6 +103,17 @@ class TestExperimentSpec:
         with pytest.raises(ValueError, match=r"^seed must be an integer, got 1\.5$"):
             ExperimentSpec(n=16, rays=23, num_angles=10, neighbors=4, gammas=(0.0,), seed=1.5)
 
+    @pytest.mark.parametrize(
+        "field, bad",
+        [("n", 16.0), ("rays", 23.0), ("num_angles", 10.5), ("patch_side", 3.0), ("neighbors", 2.5),
+         ("art_sweeps", 2.5), ("sirt_iterations", 3.5), ("denoise_max_iters", 4.5), ("n", "16")],
+    )
+    def test_integer_settings_rejected_unless_integers(self, field, bad):
+        # each stage setting checks its type at construction, so no stage later fails on a float count
+        with pytest.raises(ValueError, match=rf"integer.*got .*{re.escape(str(bad))}"):
+            ExperimentSpec(**{field: bad})
+        assert ExperimentSpec(**{field: np.int64(getattr(ExperimentSpec(), field))}).stages
+
 
 class TestSpecFile:
     def test_parse_and_overrides(self, tmp_path):
