@@ -62,8 +62,8 @@ class Image:
     pixels: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValueError(f"image side must be positive, got {self.n}")
+        if not isinstance(self.n, (int, np.integer)) or self.n < 1:
+            raise ValueError(f"image side must be a positive integer, got {self.n}")
         self.pixels = flat_finite(self.pixels, self.n * self.n, "image", "pixels")
 
     @property
@@ -81,9 +81,9 @@ def generate_phantom(kind: str, n: int, seed: int = 0) -> Image:
         One of ``shepp-logan``, ``smooth``, ``binary``, ``grains``,
         ``fourphases``.
     n : int
-        Image side in pixels, at least 8.
+        Image side in pixels, an integer of at least 8.
     seed : int
-        Seed for the random phantoms, at least 0.  ``shepp-logan`` and
+        Seed for the random phantoms, an integer of at least 0.  ``shepp-logan`` and
         ``smooth`` are deterministic closed forms and ignore it.
 
     Returns
@@ -91,10 +91,10 @@ def generate_phantom(kind: str, n: int, seed: int = 0) -> Image:
     Image
         Phantom with values rescaled to [0, 1].
     """
-    if n < 8:
-        raise ValueError(f"phantom side must be at least 8, got {n}")
-    if seed < 0:
-        raise ValueError(f"seed must be >= 0, got {seed}")
+    if not isinstance(n, (int, np.integer)) or n < 8:
+        raise ValueError(f"phantom side must be an integer >= 8, got {n}")
+    if not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise ValueError(f"seed must be an integer >= 0, got {seed}")
     if kind == "shepp-logan":
         grid = _shepp_logan(n)
     elif kind == "smooth":

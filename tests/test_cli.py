@@ -417,7 +417,7 @@ class TestEarlyErrors:
     def test_negative_phantom_seed(self, tmp_path, capsys):
         out = tmp_path / "ph.img"
         assert main(["phantom", "--kind", "binary", "--n", "16", "--seed", "-1", "--out", str(out)]) == 2
-        assert "seed must be >= 0, got -1" in capsys.readouterr().err
+        assert "seed must be an integer >= 0, got -1" in capsys.readouterr().err
         assert not out.exists()
 
     def test_negative_noise_seed(self, tmp_path, capsys, image):

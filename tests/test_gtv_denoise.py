@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import gtvtomo.gtv_denoise as gtv_denoise
 from gtvtomo import (
     DenoiseConfig,
     NoiseSpec,
@@ -20,6 +21,7 @@ from gtvtomo import (
     objective,
     spectral_norm,
 )
+from gtvtomo.pipeline import default_gamma_grid
 
 from test_patch_graph import knn_inputs
 
@@ -292,6 +294,14 @@ class TestDeskScaleSweep:
         assert min(scores) < scores[0]  # beats no denoising
 
 
+@pytest.fixture(scope="module")
+def shepp005(projector64, shepp64):
+    # table1's Shepp-Logan 0.05 row at seed 1, which draws its noise with seed 2
+    noisy = add_noise(forward_project(projector64, shepp64), NoiseSpec(0.05, 2))
+    cfg = PatchConfig(3, 10)
+    return noisy.values, build_graph(extract_patches(noisy, cfg), cfg)
+
+
 def public_denoise(b, g, cfg):
     """The dual projected-gradient loop written with the public ``D @ x``, ``D.T @ u`` and ``np.clip``."""
     tau = spectral_norm(g)
@@ -317,13 +327,6 @@ class TestCompiledDualStep:
     The solver calls scipy's private ``_sparsetools`` kernels into reused
     buffers; this pins them to the meaning of ``D @ x``, ``D.T @ u`` and ``np.clip``.
     """
-
-    @pytest.fixture(scope="class")
-    def shepp005(self, projector64, shepp64):
-        # table1's Shepp-Logan 0.05 row at seed 1, which draws its noise with seed 2
-        noisy = add_noise(forward_project(projector64, shepp64), NoiseSpec(0.05, 2))
-        cfg = PatchConfig(3, 10)
-        return noisy.values, build_graph(extract_patches(noisy, cfg), cfg)
 
     @staticmethod
     def assert_same(b, g, cfg):
@@ -357,3 +360,94 @@ class TestCompiledDualStep:
         b, g = shepp005
         trace = self.assert_same(b, g, DenoiseConfig(gamma=20.0, max_iters=40))
         assert trace.iterations_run == 40 and not trace.converged
+
+
+class TestSharedPath:
+    """A sweep's weights share the unclipped dual steps from u = 0, and each is bit for bit its own solve."""
+
+    @staticmethod
+    def sweep(monkeypatch, b, g, gammas, cfg):
+        """Run ``gamma_sweep``; return its result, every ``denoise`` call as (cfg, z, trace), the paths it
+        built and the number of dual steps (two ``spmv`` calls each)."""
+        calls, paths, products = [], [], []
+        real_denoise, real_spmv, real_path = gtv_denoise.denoise, gtv_denoise.spmv, gtv_denoise._SharedPath
+
+        def recording_denoise(b, g, cfg, **kwargs):
+            z, trace = real_denoise(b, g, cfg, **kwargs)
+            calls.append((cfg, z.copy(), trace))
+            return z, trace
+
+        class RecordedPath(real_path):
+            def __init__(self, *args):
+                super().__init__(*args)
+                paths.append(self)
+
+        monkeypatch.setattr(gtv_denoise, "denoise", recording_denoise)
+        monkeypatch.setattr(gtv_denoise, "spmv", lambda *a, **k: products.append(1) or real_spmv(*a, **k))
+        monkeypatch.setattr(gtv_denoise, "_SharedPath", RecordedPath)
+        result = gtv_denoise.gamma_sweep(b, g, gammas, lambda z: float(np.abs(z).sum()), cfg)
+        monkeypatch.undo()
+        assert len(products) % 2 == 0
+        return result, calls, paths, len(products) // 2
+
+    @staticmethod
+    def assert_cold(b, g, calls):
+        """Each call equals a cold ``denoise`` and, above gamma 0, the loop on the public products."""
+        for cfg, z, trace in calls:
+            cold_z, cold = denoise(b, g, cfg)
+            assert (z.tobytes(), trace.objective, trace.converged) == (cold_z.tobytes(), cold.objective, cold.converged)
+            if cfg.gamma > 0 and np.any(g.weights > 0):
+                want, values, converged = public_denoise(b, g, cfg)
+                assert (z.tobytes(), trace.objective, trace.converged) == (want.tobytes(), values, converged)
+
+    @pytest.mark.parametrize("order", ["ascending", "descending", "shuffled"])
+    def test_every_weight_equals_its_cold_solve(self, monkeypatch, shepp005, order):
+        b, g = shepp005
+        grid = default_gamma_grid()
+        gammas = {"ascending": grid, "descending": grid[::-1]}.get(order)
+        if gammas is None:
+            gammas = [grid[i] for i in np.random.default_rng(3).permutation(len(grid))]
+        assert 0.0 in gammas
+        (best_gamma, best_z, scores), calls, paths, steps = self.sweep(monkeypatch, b, g, gammas, None)
+        assert [cfg.gamma for cfg, _, _ in calls] == sorted(gammas)  # ascending, one call per weight
+        self.assert_cold(b, g, calls)
+        score = {cfg.gamma: float(np.abs(z).sum()) for cfg, z, _ in calls}
+        assert scores == [score[gm] for gm in gammas]
+        assert best_gamma == min(gammas, key=lambda gm: (score[gm], gm))
+        assert best_z.tobytes() == next(z for cfg, z, _ in calls if cfg.gamma == best_gamma).tobytes()
+        assert len(paths) == 1 and steps < sum(trace.iterations_run for _, _, trace in calls)
+
+    def test_weights_end_on_the_path_at_max_iters(self, monkeypatch, shepp005):
+        b, g = shepp005
+        gammas = [20.0, 0.0, 0.5, 2.7595, 0.001, 12.0]
+        _, calls, (path,), steps = self.sweep(monkeypatch, b, g, gammas, DenoiseConfig(0.0, max_iters=40))
+        self.assert_cold(b, g, calls)
+        on_path = [cfg.gamma for cfg, _, trace in calls 
+                   if trace.iterations_run == 40 and max(path.peak) <= cfg.gamma / 2]
+        assert on_path == [2.7595, 12.0, 20.0]  # never clipped: all 40 steps were the path's
+        assert len(path.sq) == 40 and steps < sum(trace.iterations_run for _, _, trace in calls)
+
+    def test_graph_without_positive_weight(self, monkeypatch):
+        g = graph_from_edges(3, [(0, 1, 0.0), (1, 2, 0.0)])
+        b = np.array([1.0, -2.0, 3.0])
+        (best_gamma, best_z, scores), calls, paths, steps = self.sweep(monkeypatch, b, g, [5.0, 0.0, 1.0], None)
+        assert steps == 0 and paths[0].dual is None  # the path never took a step
+        assert all(z.tobytes() == b.tobytes() and trace.objective == [0.0] for _, z, trace in calls)
+        assert (best_gamma, scores) == (0.0, [6.0] * 3) and np.array_equal(best_z, b)
+        self.assert_cold(b, g, calls)
+
+    def test_weight_leaving_before_the_path_falls_back(self, shepp005):
+        # gamma_sweep walks ascending, where a larger weight's box clips no earlier; called out of
+        # order, a small weight would leave at a step the path has passed and solves on its own path.
+        b, g = shepp005
+        path = gtv_denoise._SharedPath(b, g)
+        for gamma in (20.0, 1e-3, 0.38):
+            cfg = DenoiseConfig(gamma, max_iters=40)
+            walked = len(path.sq)
+            z, trace = denoise(b, g, cfg, shared=path)
+            want, values, converged = public_denoise(b, g, cfg)
+            assert (z.tobytes(), trace.objective, trace.converged) == (want.tobytes(), values, converged)
+            if gamma != 20.0:
+                left = next(t for t, peak in enumerate(path.peak) if peak > gamma / 2)
+                assert walked == 40 and left < 39  # the path holds step 39's x and u, not step left's
+        assert len(path.sq) == 40

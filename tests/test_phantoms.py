@@ -56,7 +56,7 @@ class TestGeneratePhantom:
 
     @pytest.mark.parametrize("kind", PHANTOM_KINDS)
     def test_negative_seed_rejected(self, kind):
-        with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+        with pytest.raises(ValueError, match="seed must be an integer >= 0, got -1"):
             generate_phantom(kind, 16, seed=-1)
 
     def test_seed_ignored_for_closed_forms(self):
@@ -171,6 +171,23 @@ class TestImageType:
         np.testing.assert_array_equal(img.grid, grid)
 
 
+@pytest.mark.parametrize(
+    "call, good, message",
+    [
+        (lambda v: generate_phantom("shepp-logan", v), 16, "phantom side must be an integer >= 8, got {}"),
+        (lambda v: generate_phantom("smooth", 16, v), 3, "seed must be an integer >= 0, got {}"),
+        (lambda v: generate_phantom("binary", 16, v), 3, "seed must be an integer >= 0, got {}"),
+        (lambda v: Image(v, [0.0] * 16), 4, "image side must be a positive integer, got {}"),
+    ],
+    ids=["phantom-side", "closed-form-seed", "random-seed", "image-side"],
+)
+def test_integer_arguments_rejected_unless_integers(call, good, message):
+    for bad in (float(good), good + 0.5, str(good)):
+        with pytest.raises(ValueError, match=f"^{re.escape(message.format(bad))}$"):
+            call(bad)
+    assert np.array_equal(call(np.int64(good)).pixels, call(good).pixels)
+
+
 # Public entry points that take a flat vector: call on v, expected length, owner and name in the messages.
 _GRAPH = graph_from_edges(3, [(0, 1, 1.0), (1, 2, 2.0)])
 _PROJECTOR = build_projector(Geometry(4, 6, 3))
@@ -209,7 +226,7 @@ SHAPE_CHECKS = {
     "edge-order": (lambda: PatchGraph(3, [1], [0], [1.0]), "edges must be stored with i < j"),
     "edge-range": (lambda: PatchGraph(3, [0], [3], [1.0]), "edge endpoints out of range"),
     "patches-2d": (lambda: build_graph(np.zeros(5), PatchConfig(3, 1)), "patches must be a 2-D array, got shape (5,)"),
-    "image-side": (lambda: Image(0, []), "image side must be positive, got 0"),
+    "image-side": (lambda: Image(0, []), "image side must be a positive integer, got 0"),
     "sinogram-shape": (lambda: Sinogram(0, 3, []), "invalid sinogram shape p=0, q=3"),
     "operator-shape": (
         lambda: ProjectionOperator(sp.csr_matrix((5, 16)), Geometry(4, 6, 3)),

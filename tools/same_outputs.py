@@ -33,9 +33,12 @@ ROOT = Path(__file__).resolve().parents[1]
 # every other phantom kind, ART and SIRT at a span where most rows miss the
 # image (1 380 of 3 420 active, 36 ART levels), one experiment with every
 # method, the same at that span, a smooth experiment with SIRT alone (each
-# iterative method there solves both branches in one call), two table1 runs,
-# then the help of gtvtomo and of each subcommand, an unknown subcommand and a
-# missing required flag (argparse's output and exit code 2, no file written).
+# iterative method there solves both branches in one call), a smooth FBP
+# experiment on an unsorted gamma grid capped at 40 denoiser iterations (the
+# sweep solves it in ascending order on one shared path of dual steps, and
+# some weights reach the cap on that path), two table1 runs, then the help of
+# gtvtomo and of each subcommand, an unknown subcommand and a missing required
+# flag (argparse's output and exit code 2, no file written).
 COMMANDS = (
     "phantom --kind shepp-logan --n 64 --out ph.img --pgm ph.pgm",
     "project --image ph.img --rays 95 --num-angles 36 --out clean.sino --csv clean.csv",
@@ -61,6 +64,8 @@ COMMANDS = (
     "experiment --phantom shepp-logan --noise-level 0.08 --methods fbp,art,sirt --out-dir run1",
     "experiment --phantom shepp-logan --noise-level 0.08 --detector-span 200 --methods fbp,art,sirt --out-dir run200",
     "experiment --phantom smooth --noise-level 0.05 --methods fbp,sirt --out-dir run-smooth",
+    "experiment --phantom smooth --noise-level 0.08 --gammas 20,0,0.5,2.7595,0.001 --denoise-max-iters 40"
+    " --methods fbp --out-dir run-unsorted",
     "table1 --out-dir bench --seeds 1,2,3,4,5",
     "table1 --out-dir bench-override --seeds 1,2 --noise-override 0.03 --n 32",
     "--help",
