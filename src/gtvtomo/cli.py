@@ -238,7 +238,7 @@ def _cmd_denoise(args) -> int:
         write_curve_csv(trace.objective, args.trace, header=("iteration", "objective"))
     if args.edges:
         write_graph_edges_csv(graph, args.edges)
-    print(f"denoised in {trace.iterations_run} iterations (converged={trace.converged})")
+    print(f"denoised in {trace.iterations_run} iterations (stop={trace.stop}, gap={trace.gap!r})")
     return 0
 
 

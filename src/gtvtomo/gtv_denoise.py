@@ -12,20 +12,22 @@ calls into buffers allocated once per solve, and ``u`` is clipped in place.
 
 Stopping uses the relative change of the objective evaluated at the current
 iterate, ``F = ||b - x||^2 + gamma * ||gradient(x)||_1``, with an immediate
-stop when F hits zero (e.g. constant input or gamma = 0).
+stop when F hits zero (e.g. constant input or gamma = 0).  Each solve reports
+why it stopped (``zero``, ``rel_change`` or ``max_iters``) and the relative
+duality gap of its output, a bound on how far ``F`` is above the optimum.
 
 From ``u = 0`` the iterates do not depend on gamma until the first step whose
 unclipped ``u`` leaves the box, and until then ``F`` needs only ``||b - x||^2``
 and ``||gradient(x)||_1``.  Every weight of a :func:`gamma_sweep` therefore
-walks one shared path of unclipped steps, computed once, and takes a clipped
-copy of its dual at the step where its box first clips; each weight's
-iterates, objective values and output are bit for bit those of a solve of its
-own.
+walks one shared path of unclipped steps, computed once.  A solve is one loop
+that takes each step from that path until its box first clips and from a
+clipped copy of the path's dual after; each weight's iterates, objective
+values and output are bit for bit those of a solve of its own.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -52,10 +54,18 @@ class DenoiseConfig:
 
 @dataclass(eq=False)
 class DenoiseTrace:
-    """Objective values per iteration and how the run ended."""
+    """Objective values per iteration, why the solve stopped and its relative duality gap.
 
-    objective: list[float] = field(default_factory=list)
-    converged: bool = False
+    ``stop`` is ``"zero"`` (the objective reached 0; also ``gamma = 0`` and graphs with no
+    edge of positive weight), ``"rel_change"`` (the relative-change rule) or ``"max_iters"``.
+    ``gap`` is ``(F(z) - (||b||^2 - ||z||^2)) / F(z)`` with ``F(z)`` the last objective value,
+    and 0 when that is 0: ``z = b - D^T u`` for a ``u`` inside its box, so by weak duality the
+    gap is >= 0 up to rounding and bounds how far ``F(z)`` can be above the optimum.
+    """
+
+    objective: list[float]
+    stop: str
+    gap: float
 
     @property
     def iterations_run(self) -> int:
@@ -70,6 +80,8 @@ class _Dual:
         tau = spectral_norm(g)
         D = g.incidence
         self.b, self.u, self.step, self.arrays = b, u, 1.0 / (tau * tau), (D.indptr, D.indices, D.data)
+        if self.step == np.inf:
+            raise ValueError(f"graph spectral norm {tau!r} is too small for a finite dual step 1/tau^2")
         self.x, self.resid = np.empty(g.node_count), np.empty(g.node_count)
         self.grad_x, self.scratch = np.empty(g.edge_count), np.empty(g.edge_count)
 
@@ -87,7 +99,7 @@ class _Dual:
         return float(self.resid @ self.resid), float(np.abs(self.grad_x, out=self.scratch).sum())
 
 
-class _SharedPath:
+class _SharedPath(_Dual):
     """The unclipped dual steps from ``u = 0`` for one ``(b, graph)``, taken on demand.
 
     Step ``t`` records ``||b - x||^2``, ``||D x||_1`` and the peak ``max|u|`` after its
@@ -95,55 +107,53 @@ class _SharedPath:
     """
 
     def __init__(self, b: np.ndarray, g: PatchGraph):
-        self.b, self.g, self.dual = b, g, None  # the dual and its buffers come with the first step
+        super().__init__(b, g, np.zeros(g.edge_count))
         self.sq, self.l1, self.peak = [], [], []
 
     def extend(self) -> None:
-        if self.dual is None:
-            self.dual = _Dual(self.b, self.g, np.zeros(self.g.edge_count))
-        sq, l1 = self.dual.advance(None)
-        u = self.dual.u
+        sq, l1 = self.advance(None)
         self.sq.append(sq)
         self.l1.append(l1)
-        self.peak.append(max(u.max(), -u.min()))
+        self.peak.append(max(self.u.max(), -self.u.min()))
 
 
-def _stops(f: float, f_prev: float | None, epsilon: float) -> bool:
+def _stop(f: float, f_prev: float | None, epsilon: float) -> str | None:
     # f_prev is never 0 here: a zero objective has already stopped the loop.
-    return f == 0.0 or (f_prev is not None and ((f - f_prev) / f_prev) ** 2 < epsilon)
+    if f == 0.0:
+        return "zero"
+    if f_prev is not None and ((f - f_prev) / f_prev) ** 2 < epsilon:
+        return "rel_change"
+    return None
 
 
-def _walk(
-    b: np.ndarray, g: PatchGraph, cfg: DenoiseConfig, path: _SharedPath
-) -> tuple[np.ndarray, DenoiseTrace] | None:
-    """Solve along ``path`` until the box clips, then on a clipped copy of its dual; ``None``
-    if this weight ends or leaves at a step the path has already passed."""
+def _walk(b: np.ndarray, g: PatchGraph, cfg: DenoiseConfig, path: _SharedPath) -> tuple[np.ndarray, DenoiseTrace]:
+    """Solve from ``u = 0``, taking each step from ``path`` until this weight's box clips and from a
+    clipped copy of the path's dual after; restart on a fresh path if this weight ends or leaves at a
+    step ``path`` has already passed."""
     bound = cfg.gamma / 2.0
-    trace = DenoiseTrace()
-    f_prev = None
+    dual, values, f_prev = path, [], None
     for t in range(cfg.max_iters):
-        if t == len(path.sq):
-            path.extend()
-        f = path.sq[t] + cfg.gamma * path.l1[t]
-        trace.objective.append(f)
-        trace.converged = _stops(f, f_prev, cfg.epsilon)
-        if trace.converged or t + 1 == cfg.max_iters or path.peak[t] > bound:
-            break
-        f_prev = f
-    if t + 1 < len(path.sq):  # step t's x and u are overwritten
-        return None
-    if trace.converged or t + 1 == cfg.max_iters:
-        return path.dual.x.copy(), trace
-    own = _Dual(b, g, np.clip(path.dual.u, -bound, bound))
-    for _ in range(t + 1, cfg.max_iters):
-        f_prev = f
-        sq, l1 = own.advance(bound)
+        if dual is path:
+            if t == len(path.sq):
+                path.extend()
+            sq, l1 = path.sq[t], path.l1[t]
+        else:
+            sq, l1 = dual.advance(bound)
         f = sq + cfg.gamma * l1
-        trace.objective.append(f)
-        if _stops(f, f_prev, cfg.epsilon):
-            trace.converged = True
+        values.append(f)
+        stop = _stop(f, f_prev, cfg.epsilon)
+        ends = stop is not None or t + 1 == cfg.max_iters
+        if dual is path and (ends or path.peak[t] > bound):
+            if t + 1 < len(path.sq):  # step t's x and u are overwritten
+                return _walk(b, g, cfg, _SharedPath(b, g))
+            if not ends:
+                dual = _Dual(b, g, np.clip(path.u, -bound, bound))
+        if ends:
             break
-    return own.x, trace
+        f_prev = f
+    x = path.x.copy() if dual is path else dual.x
+    gap = (f - (float(b @ b) - float(x @ x))) / f if f else 0.0
+    return x, DenoiseTrace(values, stop or "max_iters", gap)
 
 
 def denoise(
@@ -161,24 +171,27 @@ def denoise(
     cfg : DenoiseConfig
     shared : optional
         The shared path of unclipped dual steps that :func:`gamma_sweep`
-        builds for this ``b`` and ``g``.  The solve walks its recorded steps
-        and extends it, and solves on a fresh path of its own when it would
-        end or leave at a step the path has already passed; without one it
-        runs on a fresh path.  The result is the same either way, bit for bit.
+        builds for this ``b`` and ``g``.  The solve's one loop takes each step
+        from the path, extending it, until this weight's box clips, and from a
+        clipped copy of the path's dual after; it restarts on a fresh path of
+        its own when it would end or leave at a step the path has already
+        passed.  Without one it runs on a fresh path.  The result is the same
+        either way, bit for bit.
 
     Returns
     -------
     (z, trace)
-        Denoised signal and the objective trace.  ``gamma = 0``, or a graph
-        with no edge of positive weight, returns the input unchanged after a
-        single iteration: the total-variation term vanishes, so ``b`` is the
+        Denoised signal and the :class:`DenoiseTrace`: the objective per
+        iteration, the stop reason and the relative duality gap of ``z``.
+        ``gamma = 0``, or a graph with no edge of positive weight, returns the
+        input unchanged after a single iteration with ``stop="zero"`` and
+        ``gap=0.0``: the total-variation term vanishes, so ``b`` is the
         minimizer.
     """
     b = flat_finite(b, g.node_count, "denoise", "input signal")
     if cfg.gamma == 0.0 or not np.any(g.weights > 0):
-        return b.copy(), DenoiseTrace([0.0], True)
-    walked = _walk(b, g, cfg, shared) if shared is not None else None
-    return walked or _walk(b, g, cfg, _SharedPath(b, g))
+        return b.copy(), DenoiseTrace([0.0], "zero", 0.0)
+    return _walk(b, g, cfg, shared if shared is not None else _SharedPath(b, g))
 
 
 def objective(b: np.ndarray, z: np.ndarray, g: PatchGraph, gamma: float) -> float:
@@ -205,15 +218,16 @@ def gamma_sweep(
 
     The gammas are solved in ascending order, one :func:`denoise` call each,
     on one shared path of unclipped dual steps: a larger weight's box clips
-    no earlier, so it walks on where the smaller one left.  Each ``z`` equals
-    a solve of its own, bit for bit, and only the best one is kept.
+    no earlier, so it mostly walks on where the smaller one left (one that
+    stops on the path before that restarts on a path of its own).  Each ``z``
+    equals a solve of its own, bit for bit, and only the best one is kept.
     """
     gammas = [float(gm) for gm in gammas]
     if not gammas:
         raise ValueError("gamma sweep needs at least one value")
     b = flat_finite(b, g.node_count, "denoise", "input signal")
     base = cfg if cfg is not None else DenoiseConfig(gamma=0.0)
-    path = _SharedPath(b, g)
+    path = _SharedPath(b, g) if max(gammas) > 0 and np.any(g.weights > 0) else None  # else denoise takes no step
     best = None  # (score, gamma, z)
     scores: list[float] = [0.0] * len(gammas)
     for i in sorted(range(len(gammas)), key=gammas.__getitem__):

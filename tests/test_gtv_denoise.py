@@ -1,4 +1,5 @@
 import copy
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -73,7 +74,7 @@ class TestDenoiseBasics:
         z, trace = denoise(b, two_node(), DenoiseConfig(0.0))
         assert np.array_equal(z, b)
         assert trace.iterations_run == 1
-        assert trace.converged
+        assert (trace.stop, trace.gap) == ("zero", 0.0)
 
     @pytest.mark.parametrize(
         "t,gamma",
@@ -130,6 +131,14 @@ class TestDenoiseBasics:
             with pytest.raises(ValueError, match="epsilon"):
                 DenoiseConfig(1.0, epsilon=bad)
 
+    def test_graph_too_weak_for_a_finite_step_is_rejected(self):
+        # subnormal weights: tau^2 ~ 3e-323, so the step 1/tau^2 overflows and u would turn to nan
+        g = graph_from_edges(3, [(0, 1, 5e-324), (1, 2, 5e-324)])
+        with pytest.raises(ValueError, match="finite dual step"):
+            denoise(np.array([0.0, 0.0, 1.0]), g, DenoiseConfig(1.0))
+        with pytest.raises(ValueError, match="finite dual step"):
+            gamma_sweep(np.zeros(3), g, [0.0, 1.0], lambda z: 0.0)
+
 
 class TestStopRule:
     @settings(max_examples=150, deadline=None, database=None)
@@ -148,13 +157,17 @@ class TestStopRule:
         z, trace = denoise(b, g, DenoiseConfig(gamma, epsilon, max_iters))
         f = trace.objective
 
-        def stops(t):
-            return f[t] == 0.0 or (t > 0 and (f[t] - f[t - 1]) ** 2 / f[t - 1] ** 2 < epsilon)
+        def stop(t):
+            if f[t] == 0.0:
+                return "zero"
+            if t > 0 and (f[t] - f[t - 1]) ** 2 / f[t - 1] ** 2 < epsilon:
+                return "rel_change"
+            return None
 
         assert 1 <= len(f) <= max_iters
-        assert not any(stops(t) for t in range(len(f) - 1))
-        assert trace.converged == stops(len(f) - 1)
-        if not trace.converged:
+        assert not any(stop(t) for t in range(len(f) - 1))
+        assert trace.stop == (stop(len(f) - 1) or "max_iters")
+        if trace.stop == "max_iters":
             assert len(f) == max_iters
         assert objective(b, z, g, gamma) == pytest.approx(f[-1], rel=1e-12)
 
@@ -315,10 +328,12 @@ def public_denoise(b, g, cfg):
         resid = b - x
         f = float(resid @ resid) + cfg.gamma * float(np.abs(grad_x).sum())
         values.append(f)
-        if f == 0.0 or (f_prev is not None and ((f - f_prev) / f_prev) ** 2 < cfg.epsilon):
-            return x, values, True
+        if f == 0.0:
+            return x, values, "zero"
+        if f_prev is not None and ((f - f_prev) / f_prev) ** 2 < cfg.epsilon:
+            return x, values, "rel_change"
         f_prev = f
-    return x, values, False
+    return x, values, "max_iters"
 
 
 class TestCompiledDualStep:
@@ -331,10 +346,10 @@ class TestCompiledDualStep:
     @staticmethod
     def assert_same(b, g, cfg):
         z, trace = denoise(b, g, cfg)
-        want, values, converged = public_denoise(b, g, cfg)
+        want, values, stop = public_denoise(b, g, cfg)
         assert z.tobytes() == want.tobytes()
         assert trace.objective == values
-        assert trace.converged is converged
+        assert trace.stop == stop
         return trace
 
     @pytest.mark.parametrize("gamma", [1e-3, 0.38, 20.0])
@@ -359,7 +374,7 @@ class TestCompiledDualStep:
     def test_capped_by_max_iters(self, shepp005):
         b, g = shepp005
         trace = self.assert_same(b, g, DenoiseConfig(gamma=20.0, max_iters=40))
-        assert trace.iterations_run == 40 and not trace.converged
+        assert trace.iterations_run == 40 and trace.stop == "max_iters"
 
 
 class TestSharedPath:
@@ -395,10 +410,11 @@ class TestSharedPath:
         """Each call equals a cold ``denoise`` and, above gamma 0, the loop on the public products."""
         for cfg, z, trace in calls:
             cold_z, cold = denoise(b, g, cfg)
-            assert (z.tobytes(), trace.objective, trace.converged) == (cold_z.tobytes(), cold.objective, cold.converged)
+            assert (z.tobytes(), trace.objective, trace.stop, trace.gap) == (
+                cold_z.tobytes(), cold.objective, cold.stop, cold.gap)
             if cfg.gamma > 0 and np.any(g.weights > 0):
-                want, values, converged = public_denoise(b, g, cfg)
-                assert (z.tobytes(), trace.objective, trace.converged) == (want.tobytes(), values, converged)
+                want, values, stop = public_denoise(b, g, cfg)
+                assert (z.tobytes(), trace.objective, trace.stop) == (want.tobytes(), values, stop)
 
     @pytest.mark.parametrize("order", ["ascending", "descending", "shuffled"])
     def test_every_weight_equals_its_cold_solve(self, monkeypatch, shepp005, order):
@@ -431,7 +447,7 @@ class TestSharedPath:
         g = graph_from_edges(3, [(0, 1, 0.0), (1, 2, 0.0)])
         b = np.array([1.0, -2.0, 3.0])
         (best_gamma, best_z, scores), calls, paths, steps = self.sweep(monkeypatch, b, g, [5.0, 0.0, 1.0], None)
-        assert steps == 0 and paths[0].dual is None  # the path never took a step
+        assert steps == 0 and paths == []  # no weight takes a step, so no path is built
         assert all(z.tobytes() == b.tobytes() and trace.objective == [0.0] for _, z, trace in calls)
         assert (best_gamma, scores) == (0.0, [6.0] * 3) and np.array_equal(best_z, b)
         self.assert_cold(b, g, calls)
@@ -445,9 +461,63 @@ class TestSharedPath:
             cfg = DenoiseConfig(gamma, max_iters=40)
             walked = len(path.sq)
             z, trace = denoise(b, g, cfg, shared=path)
-            want, values, converged = public_denoise(b, g, cfg)
-            assert (z.tobytes(), trace.objective, trace.converged) == (want.tobytes(), values, converged)
+            want, values, stop = public_denoise(b, g, cfg)
+            assert (z.tobytes(), trace.objective, trace.stop) == (want.tobytes(), values, stop)
             if gamma != 20.0:
                 left = next(t for t, peak in enumerate(path.peak) if peak > gamma / 2)
                 assert walked == 40 and left < 39  # the path holds step 39's x and u, not step left's
         assert len(path.sq) == 40
+
+    def test_ascending_weight_ending_before_the_path_restarts(self, monkeypatch):
+        # In ascending order a larger weight leaves the path no earlier, but it can still stop on it
+        # before the step where the previous weight left; it then restarts on a second path.
+        g = graph_from_edges(5, [(1, 3, 0.2), (1, 4, 0.3), (0, 2, 1.9), (2, 3, 1.6), (0, 3, 1.5)])
+        b = np.array([-1.1, -0.3, 0.0, 1.6, -0.2])
+        cfg = DenoiseConfig(0.0, epsilon=1e-4, max_iters=200)
+        _, calls, paths, _ = self.sweep(monkeypatch, b, g, [0.2, 0.7, 1.5, 2.3], cfg)
+        assert len(paths) == 2 and len(paths[1].sq) < len(paths[0].sq)
+        self.assert_cold(b, g, calls)
+
+
+@st.composite
+def small_problems(draw):
+    """A ``graph_from_edges`` graph of 2-8 nodes with weights in [0, 2] and a signal on it."""
+    n = draw(st.integers(2, 8))
+    pairs = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda e: e[0] < e[1]),
+                          min_size=1, max_size=2 * n, unique=True))
+    weights = draw(st.lists(st.floats(0.0, 2.0), min_size=len(pairs), max_size=len(pairs)))
+    b = draw(st.lists(st.floats(-10.0, 10.0), min_size=n, max_size=n))
+    return graph_from_edges(n, [(i, j, w) for (i, j), w in zip(pairs, weights)]), np.array(b)
+
+
+class TestDualityGap:
+    """``z = b - D^T u`` for a ``u`` in its box, so ``F(z) >= ||b||^2 - ||z||^2`` (weak duality)."""
+
+    @staticmethod
+    def assert_weak_duality(b, z, trace):
+        f, dual = trace.objective[-1], float(b @ b) - float(z @ z)
+        assert f - dual >= -1e-12 * (float(b @ b) + float(z @ z))
+        assert trace.gap == ((f - dual) / f if f else 0.0)
+
+    @settings(max_examples=100, deadline=None, database=None)
+    @given(
+        small_problems(),
+        st.lists(st.floats(1e-3, 20.0), min_size=1, max_size=4),
+        st.floats(-12.0, -2.0).map(lambda e: 10.0**e),
+        st.integers(1, 60),
+    )
+    def test_cold_solves_and_every_sweep_weight(self, problem, gammas, epsilon, max_iters):
+        g, b = problem
+        if np.any(g.weights > 0) and 1.0 / (spectral_norm(g) * spectral_norm(g)) == np.inf:
+            with pytest.raises(ValueError, match="finite dual step"):
+                denoise(b, g, DenoiseConfig(gammas[0]))
+            return
+        cfg = DenoiseConfig(0.0, epsilon, max_iters)
+        for gamma in gammas:
+            z, trace = denoise(b, g, replace(cfg, gamma=gamma))
+            self.assert_weak_duality(b, z, trace)
+        with pytest.MonkeyPatch.context() as mp:
+            _, calls, _, _ = TestSharedPath.sweep(mp, b, g, gammas, cfg)
+        assert len(calls) == len(gammas)
+        for _, z, trace in calls:
+            self.assert_weak_duality(b, z, trace)

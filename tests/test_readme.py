@@ -57,5 +57,8 @@ def test_library_snippet_runs(tmp_path, monkeypatch, capsys):
     (snippet,) = [b for b in fenced_blocks("python") if "from gtvtomo import" in b]
     monkeypatch.chdir(tmp_path)
     exec(compile(snippet, "README.md", "exec"), {})
-    iteration, error = ast.literal_eval(capsys.readouterr().out)  # print(min_error(curve))
+    report, best = capsys.readouterr().out.splitlines()
+    stop, gap = report.split()  # print(trace.stop, trace.gap)
+    assert stop in ("zero", "rel_change", "max_iters") and float(gap) >= 0
+    iteration, error = ast.literal_eval(best)  # print(min_error(curve))
     assert 0 <= iteration < 50 and error > 0
