@@ -81,7 +81,8 @@ def int_list(raw):
     return [int(s) for s in raw.split(",") if s.strip()]
 
 
-def _phantom_flags(p):
+def _add_phantom(sub):
+    p = sub.add_parser("phantom", help="generate a test image")
     p.add_argument("--kind", choices=PHANTOM_KINDS, default="shepp-logan")
     p.add_argument("--n", type=int, default=64)
     p.add_argument("--seed", type=int, default=0)
@@ -90,7 +91,8 @@ def _phantom_flags(p):
     p.set_defaults(run=_cmd_phantom)
 
 
-def _project_flags(p):
+def _add_project(sub):
+    p = sub.add_parser("project", help="forward project an image")
     p.add_argument("--image", required=True)
     _add_spec_flags(
         p,
@@ -103,7 +105,8 @@ def _project_flags(p):
     p.set_defaults(run=_cmd_project)
 
 
-def _noise_flags(p):
+def _add_noise(sub):
+    p = sub.add_parser("noise", help="add relative Gaussian noise to a sinogram")
     p.add_argument("--sino", required=True)
     p.add_argument("--level", type=float, required=True)
     p.add_argument("--seed", type=int, default=0)
@@ -111,7 +114,13 @@ def _noise_flags(p):
     p.set_defaults(run=_cmd_noise)
 
 
-def _denoise_flags(p):
+def _add_denoise(sub):
+    p = sub.add_parser(
+        "denoise",
+        help="graph total-variation denoising of a sinogram",
+        description="The regularization weight multiplies a total variation that counts each unordered pixel pair "
+        "once; if your weight was calibrated against a convention summing over ordered pairs, double it here.",
+    )
     p.add_argument("--sino", required=True)
     p.add_argument("--gamma", type=float, required=True)
     _add_spec_flags(
@@ -125,7 +134,8 @@ def _denoise_flags(p):
     p.set_defaults(run=_cmd_denoise)
 
 
-def _reconstruct_flags(p):
+def _add_reconstruct(sub):
+    p = sub.add_parser("reconstruct", help="reconstruct an image from a sinogram")
     p.add_argument("--sino", required=True)
     p.add_argument("--method", choices=METHODS, default="fbp")
     _add_spec_flags(
@@ -143,7 +153,8 @@ def _reconstruct_flags(p):
     p.set_defaults(run=_cmd_reconstruct)
 
 
-def _experiment_flags(p):
+def _add_experiment(sub):
+    p = sub.add_parser("experiment", help="full raw-vs-denoised pipeline run")
     p.add_argument("--spec", help="flat 'key = value' spec file")
     _add_spec_flags(
         p,
@@ -156,7 +167,8 @@ def _experiment_flags(p):
     p.set_defaults(run=_cmd_experiment)
 
 
-def _table1_flags(p):
+def _add_table1(sub):
+    p = sub.add_parser("table1", help="built-in four-row raw-vs-denoised benchmark")
     p.add_argument("--out-dir", required=True)
     p.add_argument("--seeds", type=int_list, default="1,2,3,4,5", help="comma-separated seed list")
     _add_spec_flags(
@@ -168,36 +180,18 @@ def _table1_flags(p):
     p.set_defaults(run=_cmd_table1)
 
 
-# Each subcommand's ``add_parser`` keywords and the function that adds its flags, in help order.
-_SUBCOMMANDS = {
-    "phantom": ({"help": "generate a test image"}, _phantom_flags),
-    "project": ({"help": "forward project an image"}, _project_flags),
-    "noise": ({"help": "add relative Gaussian noise to a sinogram"}, _noise_flags),
-    "denoise": (
-        {
-            "help": "graph total-variation denoising of a sinogram",
-            "description": (
-                "The regularization weight multiplies a total variation that "
-                "counts each unordered pixel pair once; if your weight was "
-                "calibrated against a convention summing over ordered pairs, "
-                "double it here."
-            ),
-        },
-        _denoise_flags,
-    ),
-    "reconstruct": ({"help": "reconstruct an image from a sinogram"}, _reconstruct_flags),
-    "experiment": ({"help": "full raw-vs-denoised pipeline run"}, _experiment_flags),
-    "table1": ({"help": "built-in four-row raw-vs-denoised benchmark"}, _table1_flags),
-}
-
-
 @cache
 def _build_parser() -> argparse.ArgumentParser:
     """The parser with every subcommand and its flags, built at the first call and shared by every later one."""
     parser = argparse.ArgumentParser(prog="gtvtomo", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (kwargs, add_flags) in _SUBCOMMANDS.items():
-        add_flags(sub.add_parser(name, **kwargs))
+    _add_phantom(sub)
+    _add_project(sub)
+    _add_noise(sub)
+    _add_denoise(sub)
+    _add_reconstruct(sub)
+    _add_experiment(sub)
+    _add_table1(sub)
     return parser
 
 

@@ -46,6 +46,21 @@ SURFACE = {
     ],
 }
 
+# Every subcommand in help order, with the one-line help ``gtvtomo --help`` lists it by.
+SUBCOMMAND_HELP = {
+    "phantom": "generate a test image",
+    "project": "forward project an image",
+    "noise": "add relative Gaussian noise to a sinogram",
+    "denoise": "graph total-variation denoising of a sinogram",
+    "reconstruct": "reconstruct an image from a sinogram",
+    "experiment": "full raw-vs-denoised pipeline run",
+    "table1": "built-in four-row raw-vs-denoised benchmark",
+}
+DENOISE_DESCRIPTION = (
+    "The regularization weight multiplies a total variation that counts each unordered pixel pair once; if "
+    "your weight was calibrated against a convention summing over ordered pairs, double it here."
+)
+
 # One non-default value per ExperimentSpec field, in spec-file syntax.
 FIELD_VALUES = {
     "phantom": "smooth",
@@ -186,6 +201,15 @@ class TestOneCommandParser:
         code, out, err = parse_outcome(main, argv, capsys)
         assert (code, out) == (2, "")
         assert err.startswith("usage: gtvtomo") and message in err
+
+    def test_subcommands_in_help_order_with_their_help(self, capsys, monkeypatch):
+        """The seven subcommands, in help order, each listed by ``--help`` with its one-line help."""
+        assert list(subparsers()) == list(SUBCOMMAND_HELP)
+        monkeypatch.setenv("COLUMNS", "200")  # argparse wraps help to the terminal, and breaks at hyphens
+        listing = " ".join(parse_outcome(main, ["--help"], capsys)[1].split())
+        at = [listing.find(f" {name} {text}") for name, text in SUBCOMMAND_HELP.items()]
+        assert -1 not in at and at == sorted(at), dict(zip(SUBCOMMAND_HELP, at))
+        assert DENOISE_DESCRIPTION in " ".join(parse_outcome(main, ["denoise", "--help"], capsys)[1].split())
 
     def test_stage_chain_after_help_and_usage_error(self, tmp_path, monkeypatch, capsys):
         """A help and a usage error leave the shared parser as it was: the chain writes the same bytes twice."""

@@ -10,19 +10,30 @@ file they write byte for byte, plus each command's exit code, stdout and
 stderr.  Prints the outputs that differ and exits 1 on any difference, 0 on
 none, and 2, with git's message, if REV's ``src/`` cannot be extracted.  Uses
 only the standard library.
+
+When an output of the five-seed ``table1`` run under ``bench/`` differs, a
+science report follows the differing names (see :func:`science_report`): the
+16 ``table1.csv`` cells on both sides with the change of each mean, the
+per-seed GD-vs-raw win count, each experiment's ``best_gamma`` with the moved
+ones marked, and acceptance criterion 6 (the smooth 0.08 FBP-GD/FBP ratio, at
+most 0.6, and every GD mean below raw).  It is the record a change that moves
+``table1.csv`` pastes into CHANGES.md.
 """
 
 from __future__ import annotations
 
 import argparse
+import csv
 import io
 import os
+import re
 import shlex
 import subprocess
 import sys
 import tarfile
 import tempfile
 from concurrent.futures import ThreadPoolExecutor
+from math import nan
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -118,6 +129,70 @@ def differences(a: dict[str, bytes], b: dict[str, bytes]) -> list[str]:
     return sorted(name for name in a.keys() | b.keys() if a.get(name) != b.get(name))
 
 
+def _rows(data: bytes | None) -> list[dict[str, str]]:
+    return list(csv.DictReader(io.StringIO((data or b"").decode())))
+
+
+def _cells(found: dict[str, bytes]) -> dict[tuple, tuple[float, float]]:
+    """``bench/table1.csv`` as (mean, std) by (phantom, noise level, method, branch)."""
+    return {
+        (r["phantom"], r["noise_level"], r["method"], r["branch"]):
+            (float(r["mean_min_error"]), float(r["std_min_error"]))
+        for r in _rows(found.get("bench/table1.csv"))
+    }
+
+
+def _seed_runs(found: dict[str, bytes]) -> tuple[dict[str, float], dict[tuple, float]]:
+    """From each ``bench/<row>/seed_<s>/summary.csv``: best_gamma by experiment (``<row>/seed_<s>``), and
+    min_error by (experiment, method, branch)."""
+    gammas, errors = {}, {}
+    for name in sorted(found):
+        if match := re.fullmatch(r"bench/([^/]+/seed_[^/]+)/summary\.csv", name):
+            for r in _rows(found[name]):
+                gammas[match[1]] = float(r["best_gamma"])
+                errors[match[1], r["method"], r["branch"]] = float(r["min_error"])
+    return gammas, errors
+
+
+def _g(x, spec=".6g") -> str:
+    return "-" if x is None else format(x, spec)
+
+
+def _wins(errors: dict[tuple, float]) -> str:
+    """``"w of n"``: of the ``n`` keys ending in ``gd`` whose ``raw`` twin is there, ``w`` have the lower error."""
+    pairs = [(e, errors[(*k[:-1], "raw")]) for k, e in errors.items() if k[-1] == "gd" and (*k[:-1], "raw") in errors]
+    return f"{sum(gd < raw for gd, raw in pairs)} of {len(pairs)}"
+
+
+def science_report(before: dict[str, bytes], after: dict[str, bytes]) -> list[str]:
+    """The lines that say how the ``table1`` run under ``bench/`` moved from ``before`` (rev) to ``after``
+    (tree); none when no output under ``bench/`` differs."""
+    if not any(name.startswith("bench/") for name in differences(before, after)):
+        return []
+    row = "  {:<26} {:>9} ± {:<9}  {:>9} ± {:<9}  {}".format
+    lines = ["science report of bench/, rev -> tree"]
+    lines.append(row("table1 cell", "rev mean", "std", "tree mean", "std", "mean delta"))
+    cells = [_cells(before), _cells(after)]
+    for key in dict.fromkeys([*cells[0], *cells[1]]):
+        (m0, s0), (m1, s1) = (side.get(key, (None, None)) for side in cells)
+        delta = None if None in (m0, m1) else m1 - m0
+        lines.append(row(" ".join(key), _g(m0), _g(s0), _g(m1), _g(s1), _g(delta, "+.3g")))
+    (gammas0, errors0), (gammas1, errors1) = _seed_runs(before), _seed_runs(after)
+    lines.append(f"GD below raw per seed: rev {_wins(errors0)}, tree {_wins(errors1)}")
+    lines.append(f"  {'best_gamma':<26} {'rev':<9} tree")
+    for exp in dict.fromkeys([*gammas0, *gammas1]):
+        g0, g1 = gammas0.get(exp), gammas1.get(exp)
+        lines.append(f"  {exp:<26} {_g(g0):<9} {_g(g1):<9}{'  moved' if g0 != g1 else ''}".rstrip())
+    means = [{key: m for key, (m, _) in side.items()} for side in cells]
+    ratio = [side.get(("smooth", "0.08", "fbp", "gd"), nan) / side.get(("smooth", "0.08", "fbp", "raw"), nan)
+             for side in means]
+    lines.append(
+        f"criterion 6: smooth 0.08 FBP-GD/FBP mean rev {ratio[0]:.3f}, tree {ratio[1]:.3f} (at most 0.6);"
+        f" GD mean below raw: rev {_wins(means[0])}, tree {_wins(means[1])}"
+    )
+    return lines
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("rev", help="git revision to compare the working tree with, e.g. HEAD~1")
@@ -136,6 +211,8 @@ def main(argv=None) -> int:
     differ = differences(before, after)
     for name in differ:
         print(name)
+    for line in science_report(before, after):
+        print(line)
     total = len(before.keys() | after.keys())
     print(f"{len(differ)} of {total} outputs differ from {args.rev}", file=sys.stderr)
     return 1 if differ else 0
