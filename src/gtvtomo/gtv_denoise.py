@@ -32,7 +32,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from gtvtomo.patch_graph import PatchGraph, graph_gradient, spectral_norm
-from gtvtomo.phantoms import flat_finite
+from gtvtomo.phantoms import flat_finite, is_int
 from gtvtomo.projector import spmv
 
 @dataclass(frozen=True)
@@ -48,7 +48,7 @@ class DenoiseConfig:
             raise ValueError(f"gamma must be finite and >= 0, got {self.gamma}")
         if not 0.0 < self.epsilon < np.inf:
             raise ValueError(f"epsilon must be positive and finite, got {self.epsilon}")
-        if not isinstance(self.max_iters, (int, np.integer)) or self.max_iters < 1:
+        if not is_int(self.max_iters) or self.max_iters < 1:
             raise ValueError(f"max_iters must be an integer >= 1, got {self.max_iters}")
 
 

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from gtvtomo.metrics import l2_norm
+from gtvtomo.phantoms import is_int
 from gtvtomo.projector import Sinogram
 
 
@@ -23,7 +24,7 @@ class NoiseSpec:
     def __post_init__(self):
         if not np.isfinite(self.relative_level) or self.relative_level < 0:
             raise ValueError(f"relative noise level must be finite and >= 0, got {self.relative_level}")
-        if not isinstance(self.seed, (int, np.integer)):
+        if not is_int(self.seed):
             raise ValueError(f"seed must be an integer, got {self.seed!r}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")

@@ -22,7 +22,7 @@ from functools import cached_property
 import numpy as np
 import scipy.sparse as sp
 
-from gtvtomo.phantoms import flat_finite
+from gtvtomo.phantoms import flat_finite, is_int
 from gtvtomo.projector import top_eigenvalue
 
 # Relative margin within which k-th and (k+1)-th tree distances count as tied:
@@ -38,9 +38,9 @@ class PatchConfig:
     k: int = 10
 
     def __post_init__(self):
-        if not isinstance(self.patch_side, (int, np.integer)) or self.patch_side < 1 or self.patch_side % 2 == 0:
+        if not is_int(self.patch_side) or self.patch_side < 1 or self.patch_side % 2 == 0:
             raise ValueError(f"patch side must be an odd positive integer, got {self.patch_side}")
-        if not isinstance(self.k, (int, np.integer)) or self.k < 1:
+        if not is_int(self.k) or self.k < 1:
             raise ValueError(f"neighbor count k must be an integer >= 1, got {self.k}")
 
 
@@ -90,7 +90,8 @@ class PatchGraph:
         """Largest singular value ``||D||_2`` of the gradient operator, built on first use.
 
         ``tau`` is the square root of :func:`~gtvtomo.projector.top_eigenvalue` of
-        ``D^T D``; a graph with no edge of positive weight (a zero ``D``) is rejected.
+        ``D^T D``, whose Lanczos solve stops once that eigenvalue has converged to
+        rounding; a graph with no edge of positive weight (a zero ``D``) is rejected.
         """
         if not np.any(self.weights > 0):
             raise ValueError("spectral norm needs at least one edge of positive weight")
@@ -169,7 +170,7 @@ def build_graph(patches: np.ndarray, cfg: PatchConfig) -> PatchGraph:
     if not np.all(np.isfinite(patches)):
         raise ValueError("patches must be finite (found NaN or inf)")
 
-    dist, idx = cKDTree(patches, leafsize=48).query(patches, k=k + 2)  # leaves of 48 query faster than 16
+    dist, idx = cKDTree(patches, leafsize=64).query(patches, k=k + 2)  # leaves of 64 query faster than 16 or 48
     sigma = float(dist[:, 1 : k + 1].mean())
     if sigma == 0.0:
         sigma = 1.0

@@ -40,6 +40,11 @@ SMOOTH_BUMPS = (
 )
 
 
+def is_int(value) -> bool:
+    """Whether ``value`` is a Python or numpy integer and not a bool: the package's one integer check."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def flat_finite(values, size: int, owner: str, name: str) -> np.ndarray:
     """``values`` as a contiguous float64 vector of ``size`` finite entries, else ValueError.
 
@@ -62,7 +67,7 @@ class Image:
     pixels: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        if not isinstance(self.n, (int, np.integer)) or self.n < 1:
+        if not is_int(self.n) or self.n < 1:
             raise ValueError(f"image side must be a positive integer, got {self.n}")
         self.pixels = flat_finite(self.pixels, self.n * self.n, "image", "pixels")
 
@@ -91,9 +96,9 @@ def generate_phantom(kind: str, n: int, seed: int = 0) -> Image:
     Image
         Phantom with values rescaled to [0, 1].
     """
-    if not isinstance(n, (int, np.integer)) or n < 8:
+    if not is_int(n) or n < 8:
         raise ValueError(f"phantom side must be an integer >= 8, got {n}")
-    if not isinstance(seed, (int, np.integer)) or seed < 0:
+    if not is_int(seed) or seed < 0:
         raise ValueError(f"seed must be an integer >= 0, got {seed}")
     if kind == "shepp-logan":
         grid = _shepp_logan(n)

@@ -25,7 +25,7 @@ from gtvtomo.gtv_denoise import DenoiseConfig, gamma_sweep
 from gtvtomo.metrics import ErrorCurve, l2_error, l2_norm, min_error, profile
 from gtvtomo.noise import NoiseSpec, add_noise
 from gtvtomo.patch_graph import PatchConfig, build_graph, extract_patches
-from gtvtomo.phantoms import PHANTOM_KINDS, generate_phantom
+from gtvtomo.phantoms import PHANTOM_KINDS, generate_phantom, is_int
 from gtvtomo.projector import Geometry, Sinogram, build_projector, forward_project
 from gtvtomo.recon import ArtConfig, FbpConfig, SirtConfig, art, fbp, sirt
 from gtvtomo.serialize import (
@@ -327,7 +327,7 @@ def run_table1(
     and writes table1.csv and table1.txt.
     """
     seeds = list(seeds)
-    if not_int := [s for s in seeds if not isinstance(s, (int, np.integer))]:
+    if not_int := [s for s in seeds if not is_int(s)]:
         raise ValueError(f"seeds must be integers, got {not_int[0]!r}")
     seeds = [int(s) for s in seeds]
     if not seeds:

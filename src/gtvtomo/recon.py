@@ -25,7 +25,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from gtvtomo.metrics import ErrorCurve
-from gtvtomo.phantoms import Image, flat_finite
+from gtvtomo.phantoms import Image, flat_finite, is_int
 from gtvtomo.projector import Geometry, ProjectionOperator, Sinogram, spmv
 
 FBP_FILTERS = ("ram-lak", "shepp-logan", "cosine")
@@ -46,7 +46,7 @@ class ArtConfig:
     def __post_init__(self):
         if not 0.0 < self.lam < 2.0:
             raise ValueError(f"ART relaxation must be in (0, 2), got {self.lam}")
-        if not isinstance(self.sweeps, (int, np.integer)) or self.sweeps < 1:
+        if not is_int(self.sweeps) or self.sweeps < 1:
             raise ValueError(f"sweeps must be an integer >= 1, got {self.sweeps}")
 
 
@@ -64,7 +64,7 @@ class SirtConfig:
     def __post_init__(self):
         if not 0.0 < self.lam < 2.0:
             raise ValueError(f"SIRT relaxation lam must be in (0, 2), got {self.lam}")
-        if not isinstance(self.iterations, (int, np.integer)) or self.iterations < 1:
+        if not is_int(self.iterations) or self.iterations < 1:
             raise ValueError(f"iterations must be an integer >= 1, got {self.iterations}")
 
 

@@ -305,7 +305,7 @@ class TestOperatorProperties:
                 spectral_norm(g)
             return
         dense = np.linalg.svd(B, compute_uv=False)[0]
-        assert spectral_norm(g) == pytest.approx(dense, rel=1e-9)
+        assert spectral_norm(g) == pytest.approx(dense, rel=1e-12)
 
 
 class TestSpectralNorm:

@@ -9,11 +9,22 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from gtvtomo import ExperimentSpec, Image, generate_phantom, l2_error, pipeline, run_experiment, run_table1
+from gtvtomo import (
+    DenoiseConfig,
+    ExperimentSpec,
+    Image,
+    NoiseSpec,
+    PatchConfig,
+    generate_phantom,
+    l2_error,
+    pipeline,
+    run_experiment,
+    run_table1,
+)
 from gtvtomo.cli import main
 from gtvtomo.pipeline import BRANCHES, METHODS, TABLE1_ROWS, default_gamma_grid, parse_spec_file, reconstruct
 from gtvtomo.projector import Geometry, Sinogram, build_projector, forward_project
-from gtvtomo.recon import DivergenceError
+from gtvtomo.recon import ArtConfig, DivergenceError, SirtConfig
 from gtvtomo.serialize import (
     read_curve_csv,
     read_image_raw,
@@ -113,6 +124,34 @@ class TestExperimentSpec:
         with pytest.raises(ValueError, match=rf"integer.*got .*{re.escape(str(bad))}"):
             ExperimentSpec(**{field: bad})
         assert ExperimentSpec(**{field: np.int64(getattr(ExperimentSpec(), field))}).stages
+
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            (lambda d: Geometry(True, 3, 3), r"image side n must be a positive integer, got True"),
+            (lambda d: Geometry(4, True, 3), r"need integer counts .*, got p=True, q=3"),
+            (lambda d: Geometry(4, 3, True), r"need integer counts .*, got p=3, q=True"),
+            (lambda d: PatchConfig(patch_side=True), r"patch side must be an odd positive integer, got True"),
+            (lambda d: PatchConfig(k=True), r"neighbor count k must be an integer >= 1, got True"),
+            (lambda d: ArtConfig(sweeps=True), r"sweeps must be an integer >= 1, got True"),
+            (lambda d: SirtConfig(iterations=True), r"iterations must be an integer >= 1, got True"),
+            (lambda d: DenoiseConfig(0.5, max_iters=True), r"max_iters must be an integer >= 1, got True"),
+            (lambda d: NoiseSpec(0.05, seed=True), r"seed must be an integer, got True"),
+            (lambda d: ExperimentSpec(seed=False), r"seed must be an integer, got False"),
+            (lambda d: Image(True, [0.5]), r"image side must be a positive integer, got True"),
+            (lambda d: generate_phantom("binary", True), r"phantom side must be an integer >= 8, got True"),
+            (lambda d: generate_phantom("binary", 16, seed=True), r"seed must be an integer >= 0, got True"),
+            (lambda d: run_table1(d / "t", seeds=[1, True]), r"seeds must be integers, got True"),
+        ],
+        ids=["Geometry.n", "Geometry.p", "Geometry.q", "PatchConfig.patch_side", "PatchConfig.k",
+             "ArtConfig.sweeps", "SirtConfig.iterations", "DenoiseConfig.max_iters", "NoiseSpec.seed",
+             "ExperimentSpec.seed", "Image.n", "generate_phantom.n", "generate_phantom.seed", "run_table1.seeds"],
+    )
+    def test_bools_are_not_integers(self, tmp_path, build, message):
+        # bool is a subclass of int, so each integer check must exclude it by name
+        with pytest.raises(ValueError, match=rf"^{message}$"):
+            build(tmp_path)
+        assert not any(tmp_path.iterdir())
 
 
 class TestSpecFile:

@@ -17,7 +17,7 @@ from gtvtomo import (
     forward_project,
 )
 
-from gtvtomo.projector import spmv
+from gtvtomo.projector import spmv, top_eigenvalue
 
 from conftest import adjoint_gap
 
@@ -379,3 +379,28 @@ class TestSpmv:
         out = x.copy()
         assert spmv((G.indptr[lo : hi + 1], G.indices, G.data), y, out, transpose=True, add=True) is out
         assert np.array_equal(out, want)
+
+
+class TestTopEigenvalue:
+    """``top_eigenvalue`` stops once the eigenvalue has converged, not the eigenvector."""
+
+    def test_desk_scale_same_eigenvalue_from_fewer_products(self, graph64_noisy, projector64):
+        from scipy.sparse.linalg import LinearOperator, eigsh
+
+        # graph64_noisy is the table1 Shepp-Logan 0.08 seed 1 graph; the second operator is SIRT's on 64/95/36
+        DtD = graph64_noisy.incidence.T @ graph64_noisy.incidence
+        B = projector64.matrix[projector64.active_rows]
+        inv_norms_sq = 1.0 / projector64.row_norms_sq[projector64.active_rows]
+        for size, matvec in (
+            (DtD.shape[0], lambda x: DtD @ x),
+            (projector64.cols, lambda x: B.T @ (inv_norms_sq * (B @ x))),
+        ):
+            calls = []
+            op = LinearOperator((size, size), matvec=lambda x: calls.append(1) or matvec(x), dtype=np.float64)
+            got = top_eigenvalue(op)
+            products = len(calls)
+            calls.clear()
+            v0 = np.random.default_rng(0x5EED).standard_normal(size)
+            want = float(eigsh(op, k=1, v0=v0, tol=0, return_eigenvectors=False)[0])
+            np.testing.assert_allclose(got, want, rtol=1e-14, atol=0.0)
+            assert products < len(calls)

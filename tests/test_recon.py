@@ -23,7 +23,7 @@ from gtvtomo import (
     sirt,
 )
 import gtvtomo.recon
-from gtvtomo.projector import spmv
+from gtvtomo.projector import spmv, top_eigenvalue
 from gtvtomo.recon import FBP_FILTERS, FBP_INTERPOLATIONS, _block_iterate, _fbp_operators
 
 # Frozen self-oracle threshold for FBP on the noiseless Shepp-Logan sinogram
@@ -419,6 +419,21 @@ class TestSirtRadius:
         np.testing.assert_allclose(rho, want, rtol=1e-12, atol=0.0)
         assert A.sirt_radius is rho
         assert np.float64(build_projector(g).sirt_radius).tobytes() == np.float64(rho).tobytes()
+
+    @pytest.mark.parametrize(
+        "g",
+        [Geometry(64, 95, 36), Geometry(64, 95, 36, 200.0), Geometry(16, 23, 10, 40.0), Geometry(5, 13, 4, 15.0)],
+        ids=["64/95/36", "64/95/36 span 200", "16/23/10 span 40", "5/13/4 span 15"],
+    )
+    def test_equals_the_radius_of_the_gathered_nonzero_rows(self, g):
+        from scipy.sparse.linalg import LinearOperator
+
+        # the operator on the nonzero rows alone, gathered into a copy, is the reference
+        A = build_projector(g)
+        B = A.matrix[A.active_rows]
+        inv_norms_sq = 1.0 / A.row_norms_sq[A.active_rows]
+        gathered = LinearOperator((A.cols, A.cols), matvec=lambda x: B.T @ (inv_norms_sq * (B @ x)), dtype=np.float64)
+        assert np.float64(A.sirt_radius).tobytes() == np.float64(top_eigenvalue(gathered)).tobytes()
 
     def test_art_leaves_it_unbuilt(self):
         A = build_projector(Geometry(8, 11, 6))
