@@ -60,6 +60,8 @@ class PatchGraph:
     sigma: float = 1.0
 
     def __post_init__(self):
+        if not is_int(self.node_count) or self.node_count < 0:
+            raise ValueError(f"node count must be an integer >= 0, got {self.node_count}")
         self.edge_i = np.ascontiguousarray(self.edge_i, dtype=np.int64)
         self.edge_j = np.ascontiguousarray(self.edge_j, dtype=np.int64)
         self.weights = np.ascontiguousarray(self.weights, dtype=np.float64)
@@ -92,10 +94,17 @@ class PatchGraph:
         ``tau`` is the square root of :func:`~gtvtomo.projector.top_eigenvalue` of
         ``D^T D``, whose Lanczos solve stops once that eigenvalue has converged to
         rounding; a graph with no edge of positive weight (a zero ``D``) is rejected.
+        The solve runs on ``D * 2^-e``, with ``2^e`` the power of two just above
+        the largest ``sqrt(W_ij)``, and ``tau`` is scaled back by ``2^e``: exact
+        scalings that keep ``D^T D`` from underflowing and its top eigenvalue above
+        the absolute floor of ARPACK's convergence test, whatever the weights' scale.
         """
         if not np.any(self.weights > 0):
             raise ValueError("spectral norm needs at least one edge of positive weight")
-        return float(np.sqrt(top_eigenvalue(self.incidence.T @ self.incidence)))
+        e = np.frexp(self.sqrt_weights.max())[1]
+        D = self.incidence  # only the data is scaled: the copy shares D's index arrays
+        D = sp.csr_matrix((np.ldexp(D.data, -e), D.indices, D.indptr), shape=D.shape)
+        return float(np.ldexp(np.sqrt(top_eigenvalue(D.T @ D)), e))
 
 
 def graph_from_edges(node_count: int, edges) -> PatchGraph:

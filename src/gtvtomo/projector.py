@@ -115,7 +115,7 @@ class Sinogram:
     values: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        if self.p < 1 or self.q < 1:
+        if not (is_int(self.p) and is_int(self.q) and self.p >= 1 and self.q >= 1):
             raise ValueError(f"invalid sinogram shape p={self.p}, q={self.q}")
         self.values = flat_finite(self.values, self.p * self.q, "sinogram", "values")
 
@@ -126,18 +126,19 @@ class Sinogram:
 
 @dataclass(eq=False, frozen=True)
 class ProjectionOperator:
-    """Frozen CSR projection matrix and geometry; what ART and SIRT derive from them is cached on first use."""
+    """Frozen float64 CSR projection matrix and geometry; what ART and SIRT derive from them is cached on first use.
+
+    Any other sparse format, dense array or dtype is converted (longdouble data is computed in float64).
+    """
 
     matrix: sp.csr_matrix = field(repr=False)
     geometry: Geometry
 
     def __post_init__(self):
-        g = self.geometry
-        if self.matrix.shape != (g.p * g.q, g.n * g.n):
-            raise ValueError(
-                f"matrix shape {self.matrix.shape} does not match geometry "
-                f"({g.p * g.q} rows, {g.n * g.n} columns)"
-            )
+        object.__setattr__(self, "matrix", sp.csr_matrix(self.matrix, dtype=np.float64))  # float64 CSR stays a view
+        rows, cols = self.geometry.p * self.geometry.q, self.geometry.n * self.geometry.n
+        if self.matrix.shape != (rows, cols):
+            raise ValueError(f"matrix shape {self.matrix.shape} does not match geometry ({rows} rows, {cols} columns)")
 
     @property
     def rows(self) -> int:

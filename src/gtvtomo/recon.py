@@ -145,8 +145,8 @@ def _block_iterate(A: ProjectionOperator, b, rows, ends, c: float, steps: int, t
     :func:`~gtvtomo.projector.spmv` products.  Several blocks are taken to be
     ART's levels, whose rows have disjoint pixel supports: ``B^T r`` then adds
     into ``x`` in place, which is bit for bit the sum through a zeroed buffer.
-    One block (SIRT's, whose rows overlap), or a product of another dtype than
-    ``x``'s, goes through a column buffer of ``x``'s length.
+    One block (SIRT's, whose rows overlap) goes through a column buffer of
+    ``x``'s length.
 
     ``b`` is ``(m,)`` or ``(m, k)``.  Column ``i`` is solved on pixels
     ``i*n:(i+1)*n`` of one ``x`` of length ``k*n``, bit for bit as alone.  With
@@ -183,15 +183,12 @@ def _block_iterate(A: ProjectionOperator, b, rows, ends, c: float, steps: int, t
             for i in range(1, k):
                 G.indices[G.indptr[lo + i * width] : G.indptr[lo + (i + 1) * width]] += i * n
     x = np.zeros(k * n)
-    dtype = np.result_type(A.matrix.dtype, x.dtype)  # the dtype ``B @ x`` returns
     # A level's rows, and column i's copies of them on pixels i*n:(i+1)*n, have disjoint pixel supports, so
-    # B^T r adds into x bit for bit as through a zeroed buffer (x is never -0.0).  SIRT's rows overlap, and
-    # the kernel cannot add a product of another dtype into x: both keep the buffer.
-    add = levels and dtype == x.dtype
-    row_buf, col_buf = np.empty((len(b_G), len(rows)), dtype), None if add else np.empty(k * n, dtype)
+    # B^T r adds into x bit for bit as through a zeroed buffer (x is never -0.0).  SIRT's rows overlap.
+    row_buf, col_buf = np.empty((len(b_G), len(rows))), None if levels else np.empty(k * n)
     w = x.size // len(b_G)  # the pixels that each entry of b_G serves
     blocks = [((G.indptr[lo : hi + 1], G.indices, G.data), b_j[lo:hi], norms_G[lo:hi], row_buf[j, lo:hi],
-               x[j * w : (j + 1) * w], None if add else col_buf[j * w : (j + 1) * w])
+               x[j * w : (j + 1) * w], None if levels else col_buf[j * w : (j + 1) * w])
               for lo, hi in zip(ends, ends[1:]) for j, b_j in enumerate(b_G)]
     tracked = []
     for step in range(steps):
@@ -200,7 +197,7 @@ def _block_iterate(A: ProjectionOperator, b, rows, ends, c: float, steps: int, t
             np.subtract(b_B, r, out=r)
             r *= c
             r /= norms_B
-            if add:
+            if levels:
                 spmv(arrays, r, x_B, transpose=True, add=True)
             else:
                 x_B += spmv(arrays, r, c_B, transpose=True)

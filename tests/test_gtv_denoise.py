@@ -3,7 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import gtvtomo.gtv_denoise as gtv_denoise
@@ -506,6 +506,7 @@ class TestDualityGap:
         st.floats(-12.0, -2.0).map(lambda e: 10.0**e),
         st.integers(1, 60),
     )
+    @example((graph_from_edges(6, [(1, 5, 5e-324)]), np.arange(6.0)), [0.5], 1e-6, 10)  # tau = 3.1e-162
     def test_cold_solves_and_every_sweep_weight(self, problem, gammas, epsilon, max_iters):
         g, b = problem
         if np.any(g.weights > 0) and 1.0 / (spectral_norm(g) * spectral_norm(g)) == np.inf:

@@ -292,6 +292,10 @@ class TestOperatorProperties:
     @example(graph_from_edges(8, [(0, 1, 2.0), (1, 2, 0.5), (3, 4, 1.0), (4, 5, 0.0), (5, 6, 3.0)]), 2)
     @example(graph_from_edges(3, [(0, 1, 0.0), (1, 2, 0.0)]), 3)
     @example(graph_from_edges(5, []), 4)
+    @example(graph_from_edges(6, [(1, 5, 5e-324)]), 5)  # subnormal weight: D^T D underflows unless D is scaled
+    @example(graph_from_edges(4, [(0, 1, 1e-310), (1, 2, 2e-310), (0, 3, 5e-311)]), 6)
+    @example(graph_from_edges(4, [(0, 1, 1e-200), (1, 2, 2e-200), (0, 3, 5e-201)]), 7)
+    @example(graph_from_edges(4, [(0, 1, 1e-16), (1, 2, 2e-16), (0, 3, 5e-17)]), 8)  # below ARPACK's eps^(2/3)
     def test_against_dense(self, g, seed):
         rng = np.random.default_rng(seed)
         B = dense_gradient_matrix(g)

@@ -225,9 +225,11 @@ SHAPE_CHECKS = {
     "edge-shapes": (lambda: PatchGraph(3, [0, 1], [1], [1.0, 1.0]), "edge arrays must have identical shapes"),
     "edge-order": (lambda: PatchGraph(3, [1], [0], [1.0]), "edges must be stored with i < j"),
     "edge-range": (lambda: PatchGraph(3, [0], [3], [1.0]), "edge endpoints out of range"),
+    "node-count": (lambda: PatchGraph(2.5, [0], [1], [1.0]), "node count must be an integer >= 0, got 2.5"),
     "patches-2d": (lambda: build_graph(np.zeros(5), PatchConfig(3, 1)), "patches must be a 2-D array, got shape (5,)"),
     "image-side": (lambda: Image(0, []), "image side must be a positive integer, got 0"),
     "sinogram-shape": (lambda: Sinogram(0, 3, []), "invalid sinogram shape p=0, q=3"),
+    "sinogram-float": (lambda: Sinogram(1.5, 2, np.zeros(3)), "invalid sinogram shape p=1.5, q=2"),
     "operator-shape": (
         lambda: ProjectionOperator(sp.csr_matrix((5, 16)), Geometry(4, 6, 3)),
         "matrix shape (5, 16) does not match geometry (18 rows, 16 columns)",

@@ -15,6 +15,7 @@ from gtvtomo import (
     Image,
     NoiseSpec,
     PatchConfig,
+    PatchGraph,
     generate_phantom,
     l2_error,
     pipeline,
@@ -142,10 +143,13 @@ class TestExperimentSpec:
             (lambda d: generate_phantom("binary", True), r"phantom side must be an integer >= 8, got True"),
             (lambda d: generate_phantom("binary", 16, seed=True), r"seed must be an integer >= 0, got True"),
             (lambda d: run_table1(d / "t", seeds=[1, True]), r"seeds must be integers, got True"),
+            (lambda d: Sinogram(True, 3, np.zeros(3)), r"invalid sinogram shape p=True, q=3"),
+            (lambda d: PatchGraph(True, [], [], []), r"node count must be an integer >= 0, got True"),
         ],
         ids=["Geometry.n", "Geometry.p", "Geometry.q", "PatchConfig.patch_side", "PatchConfig.k",
              "ArtConfig.sweeps", "SirtConfig.iterations", "DenoiseConfig.max_iters", "NoiseSpec.seed",
-             "ExperimentSpec.seed", "Image.n", "generate_phantom.n", "generate_phantom.seed", "run_table1.seeds"],
+             "ExperimentSpec.seed", "Image.n", "generate_phantom.n", "generate_phantom.seed", "run_table1.seeds",
+             "Sinogram.p", "PatchGraph.node_count"],
     )
     def test_bools_are_not_integers(self, tmp_path, build, message):
         # bool is a subclass of int, so each integer check must exclude it by name

@@ -15,6 +15,7 @@ from gtvtomo import (
     Sinogram,
     SirtConfig,
     art,
+    back_project,
     build_projector,
     fbp,
     forward_project,
@@ -568,9 +569,44 @@ class TestCompiledBlockStep:
 
     def test_operators_are_what_they_claim(self):
         assert (_span40_operator().row_norms_sq == 0).any()
-        assert _span40_operator(dtype=np.float32).matrix.dtype == np.float32
+        assert _span40_operator(dtype=np.float32).matrix.dtype == np.float64  # stored converted
         M = _span40_operator(index_dtype=np.int64).matrix
         assert M.indices.dtype == M.indptr.dtype == np.int64
+
+
+class TestStoredAsFloat64Csr:
+    """The operator stores float64 CSR, so any other storage of the same values gives its results bit for bit."""
+
+    @pytest.mark.parametrize(
+        "store",
+        [sp.csc_matrix, sp.coo_matrix, lambda M: M.toarray(), lambda M: M.astype(np.float32)],
+        ids=["csc", "coo", "dense", "float32"],
+    )
+    def test_same_results_as_float64_csr(self, store):
+        g = Geometry(16, 23, 10, 40.0)  # it has zero rows
+        M = build_projector(g).matrix
+        given = store(M)
+        A = ProjectionOperator(given, g)
+        ref = ProjectionOperator(M.astype(given.dtype).astype(np.float64), g)  # the same values as float64 CSR
+        rng = np.random.default_rng(5)
+        x, y = rng.random(A.cols), rng.standard_normal(A.rows)
+        b = ref.matrix @ x + 0.1 * y
+        rows, ends = A.art_schedule
+        assert np.array_equal(rows, ref.art_schedule[0]) and ends == ref.art_schedule[1]
+        assert A.sirt_radius == ref.sirt_radius
+        assert np.array_equal(forward_project(A, x).values, forward_project(ref, x).values)
+        assert np.array_equal(back_project(A, y).pixels, back_project(ref, y).pixels)
+        tracker = lambda z: l2_error(z, x)  # noqa: E731
+        for solve, cfg in ((art, ArtConfig(lam=0.25, sweeps=5)), (sirt, SirtConfig(lam=1.0, iterations=5))):
+            (img, curve), (want_img, want_curve) = (solve(op, b, cfg, tracker=tracker) for op in (A, ref))
+            assert np.array_equal(img.pixels, want_img.pixels)
+            assert np.array_equal(curve.values, want_curve.values)
+
+    def test_float64_csr_is_stored_as_a_view(self):
+        g = Geometry(16, 23, 10, 40.0)
+        M = build_projector(g).matrix
+        stored = ProjectionOperator(M, g).matrix
+        assert all(np.shares_memory(getattr(stored, name), getattr(M, name)) for name in ("data", "indices", "indptr"))
 
 
 class TestColumnStack:
